@@ -10,12 +10,11 @@ as lcss, and the common-visit-time interval as cvti.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import CellGraph
-from .measures import Weights
-from .patterns import MobilityPattern
+from .measures import DEFAULT_WEIGHTS, Weights
+from .patterns import TIMESTAMPS, MobilityPattern
 
 
 def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> float:
@@ -32,12 +31,9 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
     dia = graph.diameter()
     terms = []
     for va, vb in zip(a.cells, b.cells):
-        if va == vb:
-            terms.append(0.0)
-        else:
-            terms.append(
-                (graph.hop_distance(va, vb) + graph.hop_distance(vb, va)) / (2 * dia)
-            )
+        # Hop distance is symmetric on the undirected graph. The va == vb
+        # branch also keeps a one-cell graph (diameter 0) from dividing by 0.
+        terms.append(0.0 if va == vb else graph.hop_distance(va, vb) / dia)
     return math.fsum(terms) / len(terms)
 
 
@@ -70,7 +66,7 @@ def tiakas_total(
     weights: Weights | None = None,
 ) -> float:
     """Weighted combination of the network and time distances."""
-    w = weights if weights is not None else Weights()
+    w = DEFAULT_WEIGHTS if weights is None else weights
     return w.space * tiakas_net(a, b, graph) + w.time * tiakas_time(a, b)
 
 
@@ -118,21 +114,6 @@ def lcss(a: MobilityPattern, b: MobilityPattern) -> int:
     return prev[-1]
 
 
-@dataclass(frozen=True)
-class IntervalPoint:
-    """A cell visit widened to the minute interval of its time slot."""
-
-    cell: int
-    start_minute: int
-    end_minute: int
-
-
-def interval_points(p: MobilityPattern) -> tuple[IntervalPoint, ...]:
-    return tuple(
-        IntervalPoint(pt.cell, pt.time.start_minute, pt.time.end_minute) for pt in p
-    )
-
-
 def cvti(a: MobilityPattern, b: MobilityPattern) -> int:
     """Common visit time: total minutes of slot overlap on shared cells.
 
@@ -142,11 +123,12 @@ def cvti(a: MobilityPattern, b: MobilityPattern) -> int:
     similar; this is the one similarity, not dissimilarity, in the module.
     """
     total = 0
-    for ia in interval_points(a):
-        for ib in interval_points(b):
-            if ia.cell == ib.cell:
+    for ca, ta in zip(a.cells, a.slots):
+        for cb, tb in zip(b.cells, b.slots):
+            if ca == cb:
+                sa, sb = TIMESTAMPS[ta - 1], TIMESTAMPS[tb - 1]
                 total += max(
-                    0, min(ia.end_minute, ib.end_minute)
-                    - max(ia.start_minute, ib.start_minute) + 1,
+                    0, min(sa.end_minute, sb.end_minute)
+                    - max(sa.start_minute, sb.start_minute) + 1,
                 )
     return total

@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from . import casestudy
 from .clustering import (
+    GRAPH_MEASURES,
     MEASURES,
     SIMILARITY_MEASURES,
+    DissimilarityMatrix,
     build_matrix,
     kmedoids,
     resolve_measure,
@@ -25,41 +26,17 @@ from .measures import Weights
 from .patterns import MobilityPattern, format_trace, load_trace, make_pattern
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    measure: str = "composite"
-    weights: Weights | None = None
-    graph_path: str | None = None
-    trace_path: str | None = None
-    out_path: str | None = None
-    seed: int = 0
-    k: int = 1
+def _weights(args: argparse.Namespace) -> Weights | None:
+    if args.measure in ("composite", "tiakas-total"):
+        return Weights(args.wspace, args.wtime)
+    return None
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    measure = getattr(args, "measure", "composite")
-    weights = None
-    if measure in ("composite", "tiakas-total"):
-        weights = Weights(args.wspace, args.wtime)
-    return RunConfig(
-        measure=measure,
-        weights=weights,
-        graph_path=getattr(args, "graph", None),
-        trace_path=getattr(args, "trace", None),
-        out_path=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        k=getattr(args, "k", 1),
-    )
-
-
-def _graph(config: RunConfig) -> CellGraph | None:
-    return load_graph(config.graph_path) if config.graph_path else None
-
-
-def _trace(config: RunConfig) -> dict[str, MobilityPattern]:
-    if not config.trace_path:
-        raise DomainError("a trace file is required (--trace)")
-    return load_trace(config.trace_path)
+def _graph(args: argparse.Namespace) -> CellGraph | None:
+    """The --graph file, read only for the measures that use one."""
+    if args.graph and args.measure in GRAPH_MEASURES:
+        return load_graph(args.graph)
+    return None
 
 
 def _emit(text: str, out_path: str | None) -> str:
@@ -71,57 +48,51 @@ def _emit(text: str, out_path: str | None) -> str:
     return text
 
 
-def cmd_dist(config: RunConfig, id_a: str, id_b: str) -> str:
-    patterns = _trace(config)
-    for pid in (id_a, id_b):
+def cmd_dist(args: argparse.Namespace) -> str:
+    weights = _weights(args)
+    patterns = load_trace(args.trace)
+    for pid in (args.id_a, args.id_b):
         if pid not in patterns:
             raise DomainError(f"pattern id {pid!r} not in trace")
-    fn = resolve_measure(config.measure, graph=_graph(config), weights=config.weights)
-    return f"{fn(patterns[id_a], patterns[id_b]):.6f}"
+    fn = resolve_measure(args.measure, graph=_graph(args), weights=weights)
+    return f"{fn(patterns[args.id_a], patterns[args.id_b]):.6f}"
 
 
-def _matrix_text(config: RunConfig) -> str:
-    patterns = _trace(config)
-    ids = list(patterns)
-    m = build_matrix(
+def _matrix(args: argparse.Namespace) -> DissimilarityMatrix:
+    """The measure's matrix over the --trace file, rows in file order."""
+    weights = _weights(args)
+    patterns = load_trace(args.trace)
+    return build_matrix(
         list(patterns.values()),
-        config.measure,
-        graph=_graph(config),
-        weights=config.weights,
-        ids=ids,
+        args.measure,
+        graph=_graph(args),
+        weights=weights,
+        ids=list(patterns),
     )
-    lines = ["id," + ",".join(ids)]
-    for i, pid in enumerate(ids):
-        row = ",".join(f"{m.values[i, j]:.6f}" for j in range(m.n))
-        lines.append(f"{pid},{row}")
-    return "\n".join(lines) + "\n"
 
 
-def cmd_matrix(config: RunConfig) -> str:
-    return _emit(_matrix_text(config), config.out_path)
+def cmd_matrix(args: argparse.Namespace) -> str:
+    m = _matrix(args)
+    lines = ["id," + ",".join(m.ids)]
+    for pid, row in zip(m.ids, m.values.tolist()):
+        lines.append(pid + "," + ",".join(f"{v:.6f}" for v in row))
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
-def cmd_cluster(config: RunConfig) -> str:
-    if config.measure in SIMILARITY_MEASURES:
+def cmd_cluster(args: argparse.Namespace) -> str:
+    if args.measure in SIMILARITY_MEASURES:
         raise DomainError(
-            f"measure {config.measure!r} is a similarity; "
+            f"measure {args.measure!r} is a similarity; "
             "clustering needs a dissimilarity measure"
         )
-    patterns = _trace(config)
-    ids = list(patterns)
-    m = build_matrix(
-        list(patterns.values()),
-        config.measure,
-        graph=_graph(config),
-        weights=config.weights,
-        ids=ids,
-    )
-    result = kmedoids(m, config.k, seed=config.seed)
+    m = _matrix(args)
+    ids = m.ids
+    result = kmedoids(m, args.k, seed=args.seed)
     lines = ["pattern_id,medoid_id"]
     for i, pid in enumerate(ids):
         lines.append(f"{pid},{ids[result.assignment[i]]}")
     table = "\n".join(lines) + "\n"
-    written = _emit(table, config.out_path)
+    written = _emit(table, args.out)
     summary = (
         f"medoids: {','.join(ids[i] for i in result.medoids)}\n"
         f"total cost = {result.total_cost:.6f}"
@@ -147,6 +118,8 @@ def cmd_gen(
         raise DomainError(f"need 1 <= min-len <= max-len, got {min_len}..{max_len}")
     graph = load_graph(graph_path)
     rng = random.Random(seed)
+    # Ids sort in file order only at a fixed width, so widen past p9999.
+    width = max(4, len(str(count - 1)))
     patterns: dict[str, MobilityPattern] = {}
     for i in range(count):
         length = rng.randint(min_len, max_len)
@@ -156,7 +129,7 @@ def cmd_gen(
         for slot in slots[1:]:
             cell = rng.choice((cell, *graph.neighbors(cell)))
             pairs.append((cell, slot))
-        patterns[f"p{i:04d}"] = make_pattern(pairs)
+        patterns[f"p{i:0{width}d}"] = make_pattern(pairs)
     return _emit(format_trace(patterns), out_path)
 
 
@@ -205,11 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> str:
     if args.command == "dist":
-        return cmd_dist(_config(args), args.id_a, args.id_b)
+        return cmd_dist(args)
     if args.command == "matrix":
-        return cmd_matrix(_config(args))
+        return cmd_matrix(args)
     if args.command == "cluster":
-        return cmd_cluster(_config(args))
+        return cmd_cluster(args)
     if args.command == "casestudy":
         return cmd_casestudy()
     return cmd_gen(

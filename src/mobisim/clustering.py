@@ -36,6 +36,9 @@ MEASURES: tuple[str, ...] = (
 # Raw-unit similarities; everything else is a [0,1] dissimilarity.
 SIMILARITY_MEASURES: tuple[str, ...] = ("lcss", "cvti")
 
+# The measures that read a cell graph.
+GRAPH_MEASURES: tuple[str, ...] = ("tiakas-net", "tiakas-total")
+
 
 def resolve_measure(
     name: str,
@@ -51,7 +54,7 @@ def resolve_measure(
         raise DomainError(
             f"unknown measure {name!r}; expected one of {', '.join(MEASURES)}"
         )
-    if name in ("tiakas-net", "tiakas-total") and graph is None:
+    if name in GRAPH_MEASURES and graph is None:
         raise DomainError(f"measure {name!r} requires a cell graph")
 
     if name == "space":
@@ -105,6 +108,10 @@ def build_matrix(
         raise DomainError("need at least one pattern")
     fn = resolve_measure(measure, graph=graph, weights=weights)
     n = len(patterns)
+    ids = None if ids is None else tuple(ids)
+    if ids is not None and len(ids) != n:
+        raise DomainError(f"{len(ids)} ids for {n} patterns")
+    names = range(n) if ids is None else ids
     values = np.empty((n, n), dtype=np.float64)
     for i, pa in enumerate(patterns):
         for j, pb in enumerate(patterns):
@@ -112,14 +119,15 @@ def build_matrix(
                 values[i, j] = fn(pa, pb)
             except DomainError as exc:
                 raise DomainError(
-                    f"measure {measure!r} failed for patterns {i} and {j}: {exc}"
+                    f"measure {measure!r} failed for patterns "
+                    f"{names[i]!r} and {names[j]!r}: {exc}"
                 ) from exc
     values.setflags(write=False)
     return DissimilarityMatrix(
         n=n,
         values=values,
         measure_tag=measure,
-        ids=tuple(ids) if ids is not None else None,
+        ids=ids,
     )
 
 

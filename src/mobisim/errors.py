@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader that
+raises them."""
 
 
 class DomainError(ValueError):
@@ -12,3 +13,14 @@ class FormatError(DomainError):
 
 class GraphNotConnectedError(DomainError):
     """A query needed a path between two cells that have none."""
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 contents of a file; undecodable bytes are a FormatError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None

@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable, Iterator
 
-from .errors import DomainError, FormatError, GraphNotConnectedError
+from .errors import DomainError, FormatError, GraphNotConnectedError, read_text
 
 
 class CellGraph:
@@ -208,8 +208,7 @@ def format_graph(g: CellGraph) -> str:
 
 
 def load_graph(path: str) -> CellGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_text(path))
 
 
 def save_graph(g: CellGraph, path: str) -> None:

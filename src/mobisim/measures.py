@@ -23,10 +23,15 @@ class Weights:
     time: float = 0.5
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.space) and math.isfinite(self.time)):
+            raise DomainError(f"weights must be finite, got {self}")
         if self.space < 0 or self.time < 0:
             raise DomainError(f"weights must be non-negative, got {self}")
         if abs(self.space + self.time - 1.0) > 1e-12:
             raise DomainError(f"weights must sum to 1, got {self}")
+
+
+DEFAULT_WEIGHTS = Weights()
 
 
 def uncommon_cell_count(a: MobilityPattern, b: MobilityPattern) -> int:
@@ -71,5 +76,5 @@ def weighted_dissimilarity(
     a: MobilityPattern, b: MobilityPattern, weights: Weights | None = None
 ) -> float:
     """Convex combination of the spatial and temporal dissimilarities."""
-    w = weights if weights is not None else Weights()
+    w = DEFAULT_WEIGHTS if weights is None else weights
     return w.space * spatial_dissimilarity(a, b) + w.time * temporal_dissimilarity(a, b)

@@ -5,16 +5,18 @@ short by midnight and spans 90 minutes). All timestamp arithmetic in the
 measures uses the ordinal slot index, so t3 - t1 = 2 and max(t3, t1) = 3.
 
 A mobility pattern is a non-empty sequence of (cell, timestamp) points with
-non-decreasing timestamps. Cells may repeat; equality of points is pairwise
-equality of cell and timestamp.
+non-decreasing timestamps, held as two int tuples: cell ids and slot indices.
+Cells may repeat; equality of points is pairwise equality of cell and
+timestamp.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, read_text
 
 SLOT_MINUTES = 135
 SLOT_COUNT = 11
@@ -28,6 +30,12 @@ class Timestamp:
     index: int
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.index)
+        except TypeError:
+            raise DomainError(
+                f"timestamp index {self.index!r} is not an integer"
+            ) from None
         if not 1 <= self.index <= SLOT_COUNT:
             raise DomainError(f"timestamp index {self.index} outside 1..{SLOT_COUNT}")
 
@@ -79,61 +87,61 @@ class Point:
 class MobilityPattern:
     """Ordered non-empty sequence of points with non-decreasing timestamps.
 
+    Stored as two int tuples, `cells` and `slots` (ordinal timestamp
+    indices), which is all the measures read; `points`, iteration and
+    indexing build `Point` views on demand.
+
     With strict=True, at most two consecutive points may share a timestamp;
     by default any non-decreasing run is accepted.
     """
 
-    __slots__ = ("_points",)
+    __slots__ = ("cells", "slots")
 
     def __init__(self, points: Iterable[Point], strict: bool = False):
         pts = tuple(points)
         if not pts:
             raise DomainError("a pattern needs at least one point")
-        for prev, cur in zip(pts, pts[1:]):
-            if cur.time < prev.time:
+        cells = tuple(p.cell for p in pts)
+        slots = tuple(p.time.index for p in pts)
+        for i in range(1, len(slots)):
+            if slots[i] < slots[i - 1]:
                 raise DomainError(
-                    f"timestamps must be non-decreasing ({prev!r} then {cur!r})"
+                    f"timestamps must be non-decreasing ({pts[i - 1]!r} then {pts[i]!r})"
                 )
         if strict:
-            for a, b, c in zip(pts, pts[1:], pts[2:]):
-                if a.time == b.time == c.time:
+            for i in range(2, len(slots)):
+                if slots[i - 2] == slots[i - 1] == slots[i]:
                     raise DomainError(
-                        f"more than two consecutive points share {a.time!r}"
+                        f"more than two consecutive points share {pts[i].time!r}"
                     )
-        self._points = pts
+        self.cells = cells
+        self.slots = slots
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return self._points
-
-    @property
-    def cells(self) -> tuple[int, ...]:
-        return tuple(p.cell for p in self._points)
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        """Ordinal timestamp indices, in sequence order."""
-        return tuple(p.time.index for p in self._points)
+        return tuple(
+            Point(c, TIMESTAMPS[t - 1]) for c, t in zip(self.cells, self.slots)
+        )
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self.cells)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self._points)
+        return iter(self.points)
 
     def __getitem__(self, i: int) -> Point:
-        return self._points[i]
+        return self.points[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MobilityPattern):
             return NotImplemented
-        return self._points == other._points
+        return self.cells == other.cells and self.slots == other.slots
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        return hash((self.cells, self.slots))
 
     def __repr__(self) -> str:
-        inner = " ".join(repr(p) for p in self._points)
+        inner = " ".join(f"({c},t{t})" for c, t in zip(self.cells, self.slots))
         return f"<pattern {inner}>"
 
 
@@ -148,8 +156,9 @@ def make_pattern(
 
 def is_subpattern(b: MobilityPattern, a: MobilityPattern) -> bool:
     """True iff b's points appear in a, in order (same cell AND timestamp)."""
-    it = iter(a)
-    return all(any(pb == pa for pa in it) for pb in b)
+    it = zip(a.cells, a.slots)
+    # `in` consumes the iterator up to the match, so the order is kept.
+    return all(pb in it for pb in zip(b.cells, b.slots))
 
 
 TRACE_HEADER = "pattern_id,seq,cell,timestamp_index"
@@ -211,14 +220,13 @@ def parse_trace(text: str) -> dict[str, MobilityPattern]:
 def format_trace(patterns: dict[str, MobilityPattern]) -> str:
     lines = [TRACE_HEADER]
     for pid, pattern in patterns.items():
-        for seq, p in enumerate(pattern):
-            lines.append(f"{pid},{seq},{p.cell},{p.time.index}")
+        for seq, (cell, slot) in enumerate(zip(pattern.cells, pattern.slots)):
+            lines.append(f"{pid},{seq},{cell},{slot}")
     return "\n".join(lines) + "\n"
 
 
 def load_trace(path: str) -> dict[str, MobilityPattern]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+    return parse_trace(read_text(path))
 
 
 def save_trace(patterns: dict[str, MobilityPattern], path: str) -> None:

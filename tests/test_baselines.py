@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from mobisim.baselines import (
     cvti,
-    interval_points,
     lcss,
     oss,
     oss_components,
@@ -201,10 +200,6 @@ class TestCvti:
 
     def test_no_common_cells(self):
         assert cvti(make_pattern([(1, 1)]), make_pattern([(2, 1)])) == 0
-
-    def test_interval_points_expose_slot_bounds(self):
-        (ip,) = interval_points(make_pattern([(4, 11)]))
-        assert (ip.cell, ip.start_minute, ip.end_minute) == (4, 1350, 1439)
 
     def test_matches_minute_set_oracle(self):
         rng = random.Random(22)

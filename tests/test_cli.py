@@ -1,10 +1,14 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobisim.casestudy import SA, SB
 from mobisim.cli import main
 from mobisim.graph import example_graph, save_graph
 from mobisim.measures import weighted_dissimilarity
-from mobisim.patterns import load_trace, save_trace
+from mobisim.patterns import load_trace, make_pattern, save_trace
 
 
 @pytest.fixture
@@ -82,6 +86,41 @@ class TestDist:
         assert code == 3
         assert "error:" in err
 
+    def test_non_finite_weights(self, capsys, trace_path):
+        code, out, err = run_cli(
+            capsys, "dist", "Sa", "Sb", "--trace", trace_path,
+            "--wspace", "nan", "--wtime", "0.5",
+        )
+        assert code == 3
+        assert out == ""
+        assert "error:" in err and "finite" in err
+
+    def test_graph_ignored_by_graph_free_measures(self, capsys, trace_path, graph_path):
+        _, without, _ = run_cli(capsys, "dist", "Sa", "Sb", "--trace", trace_path)
+        code, with_graph, _ = run_cli(
+            capsys, "dist", "Sa", "Sb", "--trace", trace_path, "--graph", graph_path
+        )
+        assert code == 0
+        assert with_graph == without == "0.200000\n"
+
+    def test_undecodable_trace(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfepattern_id,seq,cell,timestamp_index\n")
+        code, _, err = run_cli(capsys, "dist", "a", "b", "--trace", str(path))
+        assert code == 3
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_undecodable_graph(self, capsys, trace_path, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"cells 3\nedge 0 1\n\xff\n")
+        code, _, err = run_cli(
+            capsys, "dist", "Sa", "Sb", "--trace", trace_path,
+            "--measure", "tiakas-net", "--graph", str(path),
+        )
+        assert code == 3
+        assert err.startswith("error: ") and str(path) in err
+
     def test_unknown_measure_is_usage_error(self, capsys, trace_path):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "Sa", "Sb", "--trace", trace_path, "--measure", "haversine"])
@@ -134,6 +173,18 @@ class TestMatrix:
             for other, got in zip(ids, entries):
                 want = weighted_dissimilarity(patterns[pid], patterns[other])
                 assert abs(got - want) <= 1e-6
+
+
+    def test_errors_name_pattern_ids(self, capsys, tmp_path):
+        path = tmp_path / "mixed.csv"
+        short = make_pattern([(0, 1), (1, 2)])
+        save_trace({"p0003": SA, "p0007": short}, str(path))
+        code, out, err = run_cli(
+            capsys, "matrix", "--trace", str(path), "--measure", "tiakas-time"
+        )
+        assert code == 3
+        assert out == ""
+        assert "'p0003' and 'p0007'" in err
 
 
 class TestCluster:
@@ -243,6 +294,39 @@ class TestGen:
         resaved = tmp_path / "again.csv"
         save_trace(patterns, str(resaved))
         assert resaved.read_bytes() == path.read_bytes()
+
+    def test_ids_widen_past_9999(self, capsys, graph_path, tmp_path):
+        path = tmp_path / "many.csv"
+        code, _, _ = run_cli(
+            capsys, "gen", "--graph", graph_path, "--count", "10001",
+            "--min-len", "1", "--max-len", "1", "--out", str(path),
+        )
+        assert code == 0
+        ids = list(load_trace(str(path)))
+        assert len(ids) == 10001
+        assert ids[:2] == ["p00000", "p00001"] and ids[-1] == "p10000"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        count=st.integers(0, 30),
+        min_len=st.integers(1, 6),
+        extra=st.integers(0, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_output_loads_back(self, count, min_len, extra, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph_path = os.path.join(tmp, "graph.txt")
+            out_path = os.path.join(tmp, "walks.csv")
+            save_graph(example_graph(), graph_path)
+            code = main([
+                "gen", "--graph", graph_path, "--count", str(count),
+                "--min-len", str(min_len), "--max-len", str(min_len + extra),
+                "--seed", str(seed), "--out", out_path,
+            ])
+            assert code == 0
+            patterns = load_trace(out_path)
+        assert len(patterns) == count
+        assert all(min_len <= len(p) <= min_len + extra for p in patterns.values())
 
     def test_bad_bounds(self, capsys, graph_path):
         code, _, err = run_cli(

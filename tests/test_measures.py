@@ -53,6 +53,14 @@ class TestWeights:
         with pytest.raises(DomainError):
             Weights(-0.1, 1.1)
 
+    @pytest.mark.parametrize(
+        "space, time",
+        [(float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5), (0.5, float("-inf"))],
+    )
+    def test_non_finite_rejected(self, space, time):
+        with pytest.raises(DomainError, match="finite"):
+            Weights(space, time)
+
 
 class TestGoldenValues:
     def test_reference_pair(self):

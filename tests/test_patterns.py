@@ -51,6 +51,12 @@ class TestTimestamp:
         with pytest.raises(DomainError):
             Timestamp(12)
 
+    def test_non_integer_rejected(self):
+        # Views index TIMESTAMPS by slot, so a slot must be an integer.
+        for index in (1.5, 2.0, "3"):
+            with pytest.raises(DomainError, match="not an integer"):
+                Timestamp(index)
+
     def test_minute_lookup(self):
         assert timestamp_of_minute(0) == Timestamp(1)
         assert timestamp_of_minute(134) == Timestamp(1)
@@ -109,6 +115,22 @@ class TestMakePattern:
             make_pattern([(1, 3), (2, 3), (3, 3)], strict=True)
         # default accepts any non-decreasing run
         make_pattern([(1, 3), (2, 3), (3, 3)])
+
+    def test_stores_only_cells_and_slots(self):
+        p = make_pattern([(1, 1), (2, 11)])
+        assert MobilityPattern.__slots__ == ("cells", "slots")
+        assert not hasattr(p, "__dict__")
+        assert p.points == (Point(1, Timestamp(1)), Point(2, Timestamp(11)))
+        assert p[1].time is TIMESTAMPS[10]
+        assert p[-1] == p.points[-1] and p[:1] == p.points[:1]
+        assert list(p) == list(p.points)
+        assert repr(p) == "<pattern (1,t1) (2,t11)>"
+
+    def test_error_messages_name_points(self):
+        with pytest.raises(DomainError, match=r"\(0,t5\) then \(1,t3\)"):
+            make_pattern([(0, 5), (1, 3)])
+        with pytest.raises(DomainError, match="share t3"):
+            make_pattern([(1, 3), (2, 3), (3, 3)], strict=True)
 
     def test_equality_and_hash(self):
         a = make_pattern([(1, 1), (2, 2)])
