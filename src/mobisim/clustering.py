@@ -148,25 +148,16 @@ class ClusterAssignment:
     cost_history: tuple[float, ...] = field(repr=False)
 
 
-def _assign(values: np.ndarray, medoids: Sequence[int]) -> tuple[list[int], float]:
-    assignment = []
-    cost = 0.0
-    for i in range(values.shape[0]):
-        if i in medoids:
-            assignment.append(i)
-            continue
-        best = min(medoids, key=lambda m: (values[i, m], m))
-        assignment.append(best)
-        cost += values[i, best]
-    return assignment, cost
+def _column_costs(contrib: np.ndarray) -> np.ndarray:
+    """Sum each column (or a 1-D array) strictly top to bottom, overwriting
+    contrib with the running sums.
 
-
-def _config_cost(values: np.ndarray, medoids: Sequence[int]) -> float:
-    cost = 0.0
-    for i in range(values.shape[0]):
-        if i not in medoids:
-            cost += min(values[i, m] for m in medoids)
-    return cost
+    np.sum may use pairwise summation, whose last bits differ from the
+    sequential ``cost += x`` definition and can flip near-ties between swaps;
+    a running accumulate adds the rows in order, and adding the 0.0 of an
+    excluded row is exact.
+    """
+    return np.add.accumulate(contrib, axis=0, out=contrib)[-1]
 
 
 def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment:
@@ -176,40 +167,53 @@ def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment
     the single best strictly-improving medoid/non-medoid swap until none
     exists. Deterministic for fixed (matrix, k, seed): swaps are scanned in
     ascending (medoid, candidate) order and ties keep the earliest.
+
+    A configuration's cost is the sum, over non-medoid patterns in index
+    order, of each pattern's distance to its nearest medoid. Each round
+    evaluates all k*(n-k) swaps as array operations, O(k*n^2) per round:
+    for each medoid, every candidate's cost is one column of
+    min(nearest other medoid, candidate) with the trial's medoid rows
+    zeroed. Costs are summed left to right, so they equal the sequential
+    definition bit for bit. total_cost is the last cost_history entry.
     """
     if not 1 <= k <= m.n:
         raise DomainError(f"k={k} outside 1..{m.n}")
 
+    values = m.values
     rng = random.Random(seed)
     medoids = sorted(rng.sample(range(m.n), k))
-    cost = _config_cost(m.values, medoids)
+    # Medoid rows contribute nothing: the diagonal need not be zero for
+    # every measure.
+    nearest = values[:, medoids].min(axis=1)
+    nearest[medoids] = 0.0
+    cost = _column_costs(nearest)
     history = [cost]
 
+    trial = np.empty((m.n, m.n))
     while True:
-        best_swap: tuple[int, int] | None = None
-        best_cost = cost
-        for med in medoids:
-            for cand in range(m.n):
-                if cand in medoids:
-                    continue
-                trial = sorted(c for c in medoids if c != med) + [cand]
-                trial_cost = _config_cost(m.values, trial)
-                if trial_cost < best_cost:
-                    best_cost = trial_cost
-                    best_swap = (med, cand)
-        if best_swap is None:
+        table = np.empty((k, m.n))
+        for row, med in enumerate(medoids):
+            others = [c for c in medoids if c != med]
+            d_other = (
+                values[:, others].min(axis=1) if others else np.full(m.n, np.inf)
+            )
+            np.minimum(d_other[:, None], values, out=trial)
+            trial[others] = 0.0
+            np.fill_diagonal(trial, 0.0)
+            table[row] = _column_costs(trial)
+        table[:, medoids] = np.inf
+        row, cand = divmod(int(np.argmin(table)), m.n)
+        if not table[row, cand] < cost:
             break
-        med, cand = best_swap
-        medoids = sorted([c for c in medoids if c != med] + [cand])
-        cost = best_cost
+        cost = table[row, cand]
+        medoids = sorted([c for c in medoids if c != medoids[row]] + [cand])
         history.append(cost)
 
-    assignment, final_cost = _assign(m.values, medoids)
-    # The diagonal need not be zero for every measure, so recompute the
-    # reported cost from the final assignment (medoids contribute 0).
+    assignment = np.array(medoids)[np.argmin(values[:, medoids], axis=1)]
+    assignment[medoids] = medoids
     return ClusterAssignment(
         medoids=tuple(medoids),
-        assignment=tuple(assignment),
-        total_cost=final_cost,
+        assignment=tuple(int(a) for a in assignment),
+        total_cost=cost,
         cost_history=tuple(history),
     )

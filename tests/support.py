@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
+import numpy as np
+
+from mobisim.clustering import ClusterAssignment, DissimilarityMatrix
+from mobisim.errors import DomainError
 from mobisim.graph import CellGraph
 from mobisim.patterns import MobilityPattern, make_pattern
 
@@ -95,3 +100,70 @@ def has_repeat_at_distinct_slots(p: MobilityPattern) -> bool:
             return True
         seen.setdefault(pt.cell, pt.time.index)
     return False
+
+
+def _assign(values: np.ndarray, medoids: Sequence[int]) -> tuple[list[int], float]:
+    assignment = []
+    cost = 0.0
+    for i in range(values.shape[0]):
+        if i in medoids:
+            assignment.append(i)
+            continue
+        best = min(medoids, key=lambda m: (values[i, m], m))
+        assignment.append(best)
+        cost += values[i, best]
+    return assignment, cost
+
+
+def _config_cost(values: np.ndarray, medoids: Sequence[int]) -> float:
+    cost = 0.0
+    for i in range(values.shape[0]):
+        if i not in medoids:
+            cost += min(values[i, m] for m in medoids)
+    return cost
+
+
+def brute_kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment:
+    """The loop PAM, recomputing every trial configuration's cost in Python.
+
+    Starts from a seeded random medoid selection, then repeatedly applies
+    the single best strictly-improving medoid/non-medoid swap until none
+    exists. Deterministic for fixed (matrix, k, seed): swaps are scanned in
+    ascending (medoid, candidate) order and ties keep the earliest.
+    """
+    if not 1 <= k <= m.n:
+        raise DomainError(f"k={k} outside 1..{m.n}")
+
+    rng = random.Random(seed)
+    medoids = sorted(rng.sample(range(m.n), k))
+    cost = _config_cost(m.values, medoids)
+    history = [cost]
+
+    while True:
+        best_swap: tuple[int, int] | None = None
+        best_cost = cost
+        for med in medoids:
+            for cand in range(m.n):
+                if cand in medoids:
+                    continue
+                trial = sorted(c for c in medoids if c != med) + [cand]
+                trial_cost = _config_cost(m.values, trial)
+                if trial_cost < best_cost:
+                    best_cost = trial_cost
+                    best_swap = (med, cand)
+        if best_swap is None:
+            break
+        med, cand = best_swap
+        medoids = sorted([c for c in medoids if c != med] + [cand])
+        cost = best_cost
+        history.append(cost)
+
+    assignment, final_cost = _assign(m.values, medoids)
+    # The diagonal need not be zero for every measure, so recompute the
+    # reported cost from the final assignment (medoids contribute 0).
+    return ClusterAssignment(
+        medoids=tuple(medoids),
+        assignment=tuple(assignment),
+        total_cost=final_cost,
+        cost_history=tuple(history),
+    )

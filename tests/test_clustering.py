@@ -16,7 +16,7 @@ from mobisim.errors import DomainError
 from mobisim.graph import example_graph, hex_grid
 from mobisim.measures import Weights
 from mobisim.patterns import make_pattern
-from support import random_pattern
+from support import brute_kmedoids, random_pattern
 
 SA = make_pattern([(1, 1), (0, 3), (2, 4), (8, 6), (7, 9)])
 SB = make_pattern([(0, 3), (2, 4), (3, 5), (8, 6), (4, 8)])
@@ -28,6 +28,41 @@ def random_symmetric_matrix(rng: random.Random, n: int) -> DissimilarityMatrix:
         for j in range(i + 1, n):
             values[i, j] = values[j, i] = rng.uniform(0.05, 1.0)
     return DissimilarityMatrix(n=n, values=values, measure_tag="composite")
+
+
+# A few values that are not exact binary fractions, so equal swaps are
+# common and their sums depend on the order of addition.
+TIE_VALUES = (0.1, 0.2, 0.3, 0.7, 0.9)
+
+
+def oracle_matrix(rng: random.Random, n: int, family: str) -> DissimilarityMatrix:
+    """uniform: symmetric, zero diagonal; ties: symmetric over TIE_VALUES;
+    diagonal: uniform plus a nonzero diagonal; asymmetric: every entry
+    drawn from TIE_VALUES, diagonal included."""
+    if family == "asymmetric":
+        values = np.array([[rng.choice(TIE_VALUES) for _ in range(n)] for _ in range(n)])
+        return DissimilarityMatrix(n=n, values=values, measure_tag="composite")
+    draw = (lambda: rng.choice(TIE_VALUES)) if family == "ties" else (
+        lambda: rng.uniform(0.05, 1.0)
+    )
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = draw()
+    if family == "diagonal":
+        for i in range(n):
+            values[i, i] = rng.uniform(0.0, 0.3)
+    return DissimilarityMatrix(n=n, values=values, measure_tag="composite")
+
+
+def grid_walk(rng: random.Random, grid, length: int) -> list[tuple[int, int]]:
+    slots = sorted(rng.randint(1, 11) for _ in range(length))
+    cell = rng.randrange(grid.vertex_count)
+    pairs = [(cell, slots[0])]
+    for t in slots[1:]:
+        cell = rng.choice((cell, *grid.neighbors(cell)))
+        pairs.append((cell, t))
+    return pairs
 
 
 class TestResolveMeasure:
@@ -202,6 +237,55 @@ class TestKmedoids:
         m = DissimilarityMatrix(n=3, values=values, measure_tag="composite")
         result = kmedoids(m, 2, seed=0)
         assert result.assignment[0] == min(result.medoids)
+
+
+class TestKmedoidsOracle:
+    """kmedoids must equal the loop PAM bit for bit: same medoids, assignment,
+    total_cost and cost_history, so the same swap is taken on every tie."""
+
+    @pytest.mark.parametrize("family", ["uniform", "ties", "diagonal", "asymmetric"])
+    def test_matches_loop_pam_on_random_matrices(self, family):
+        rng = random.Random(f"oracle/{family}")
+        for trial in range(80):
+            n = rng.randint(1, 16)
+            m = oracle_matrix(rng, n, family)
+            for k in sorted({1, rng.randint(1, n), n}):
+                assert kmedoids(m, k, seed=trial) == brute_kmedoids(m, k, seed=trial)
+
+    def test_matches_loop_pam_on_composite_walks(self):
+        grid = hex_grid(3, 4)
+        rng = random.Random(61)
+        for trial in range(12):
+            n = rng.randint(6, 14)
+            pats = [make_pattern(grid_walk(rng, grid, rng.randint(6, 12))) for _ in range(n)]
+            m = build_matrix(pats, "composite")
+            assert np.diagonal(m.values).any()
+            for k in sorted({1, rng.randint(2, n - 1), n}):
+                result = kmedoids(m, k, seed=trial)
+                assert result == brute_kmedoids(m, k, seed=trial)
+                assert result.total_cost == result.cost_history[-1]
+
+    def test_matches_loop_pam_on_planted_routes(self):
+        # n=64, k=8: eight routes on a 5x5 grid, each followed by seven
+        # copies with a quarter of their cells moved to a neighbour.
+        grid = hex_grid(5, 5)
+        rng = random.Random(62)
+        routes = [grid_walk(rng, grid, 8 + g) for g in range(8)]
+        pats = []
+        for i in range(64):
+            route = routes[i % 8]
+            if i >= 8:
+                route = [
+                    (rng.choice(grid.neighbors(c)), t) if rng.random() < 0.25 else (c, t)
+                    for c, t in route
+                ]
+            pats.append(make_pattern(route))
+        m = build_matrix(pats, "composite")
+        assert np.diagonal(m.values).any()
+        result = kmedoids(m, 8, seed=1)
+        assert len(result.cost_history) > 1
+        assert result == brute_kmedoids(m, 8, seed=1)
+        assert result.total_cost == result.cost_history[-1]
 
 
 class TestMatrixValidation:
