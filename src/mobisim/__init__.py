@@ -18,10 +18,8 @@ from .clustering import (
 from .errors import DomainError, FormatError, GraphNotConnectedError
 from .graph import (
     CellGraph,
-    diameter,
     example_graph,
     hex_grid,
-    hop_distance,
     load_graph,
     parse_graph,
     save_graph,
@@ -63,10 +61,8 @@ __all__ = [
     "Weights",
     "build_matrix",
     "cvti",
-    "diameter",
     "example_graph",
     "hex_grid",
-    "hop_distance",
     "is_subpattern",
     "kmedoids",
     "lcss",

@@ -12,9 +12,8 @@ import sys
 
 from . import casestudy
 from .clustering import (
-    GRAPH_MEASURES,
+    MEASURE_TABLE,
     MEASURES,
-    SIMILARITY_MEASURES,
     DissimilarityMatrix,
     build_matrix,
     kmedoids,
@@ -27,14 +26,14 @@ from .patterns import MobilityPattern, format_trace, load_trace, make_pattern
 
 
 def _weights(args: argparse.Namespace) -> Weights | None:
-    if args.measure in ("composite", "tiakas-total"):
+    if MEASURE_TABLE[args.measure].reads_weights:
         return Weights(args.wspace, args.wtime)
     return None
 
 
 def _graph(args: argparse.Namespace) -> CellGraph | None:
     """The --graph file, read only for the measures that use one."""
-    if args.graph and args.measure in GRAPH_MEASURES:
+    if args.graph and MEASURE_TABLE[args.measure].reads_graph:
         return load_graph(args.graph)
     return None
 
@@ -80,7 +79,7 @@ def cmd_matrix(args: argparse.Namespace) -> str:
 
 
 def cmd_cluster(args: argparse.Namespace) -> str:
-    if args.measure in SIMILARITY_MEASURES:
+    if MEASURE_TABLE[args.measure].similarity:
         raise DomainError(
             f"measure {args.measure!r} is a similarity; "
             "clustering needs a dissimilarity measure"
@@ -100,24 +99,14 @@ def cmd_cluster(args: argparse.Namespace) -> str:
     return summary if not written else written.rstrip("\n") + "\n" + summary
 
 
-def cmd_casestudy() -> str:
-    return casestudy.report()
-
-
-def cmd_gen(
-    graph_path: str,
-    count: int,
-    min_len: int,
-    max_len: int,
-    seed: int,
-    out_path: str | None = None,
-) -> str:
+def cmd_gen(args: argparse.Namespace) -> str:
+    count, min_len, max_len = args.count, args.min_len, args.max_len
     if count < 0:
         raise DomainError(f"count must be non-negative, got {count}")
     if not 1 <= min_len <= max_len:
         raise DomainError(f"need 1 <= min-len <= max-len, got {min_len}..{max_len}")
-    graph = load_graph(graph_path)
-    rng = random.Random(seed)
+    graph = load_graph(args.graph)
+    rng = random.Random(args.seed)
     # Ids sort in file order only at a fixed width, so widen past p9999.
     width = max(4, len(str(count - 1)))
     patterns: dict[str, MobilityPattern] = {}
@@ -130,7 +119,7 @@ def cmd_gen(
             cell = rng.choice((cell, *graph.neighbors(cell)))
             pairs.append((cell, slot))
         patterns[f"p{i:0{width}d}"] = make_pattern(pairs)
-    return _emit(format_trace(patterns), out_path)
+    return _emit(format_trace(patterns), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,11 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("id_b")
     p_dist.add_argument("--trace", required=True)
     add_measure_opts(p_dist)
+    p_dist.set_defaults(run=cmd_dist)
 
     p_matrix = sub.add_parser("matrix", help="pairwise measure table")
     p_matrix.add_argument("--trace", required=True)
     p_matrix.add_argument("--out")
     add_measure_opts(p_matrix)
+    p_matrix.set_defaults(run=cmd_matrix)
 
     p_cluster = sub.add_parser("cluster", help="k-medoids over a trace")
     p_cluster.add_argument("--trace", required=True)
@@ -163,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument("--out")
     add_measure_opts(p_cluster)
+    p_cluster.set_defaults(run=cmd_cluster)
 
-    sub.add_parser("casestudy", help="print the worked example report")
+    p_case = sub.add_parser("casestudy", help="print the worked example report")
+    p_case.set_defaults(run=lambda args: casestudy.report())
 
     p_gen = sub.add_parser("gen", help="generate random-walk traces")
     p_gen.add_argument("--graph", required=True)
@@ -173,27 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--max-len", type=int, default=8, dest="max_len")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out")
+    p_gen.set_defaults(run=cmd_gen)
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> str:
-    if args.command == "dist":
-        return cmd_dist(args)
-    if args.command == "matrix":
-        return cmd_matrix(args)
-    if args.command == "cluster":
-        return cmd_cluster(args)
-    if args.command == "casestudy":
-        return cmd_casestudy()
-    return cmd_gen(
-        args.graph, args.count, args.min_len, args.max_len, args.seed, args.out
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = _dispatch(args)
+        out = args.run(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

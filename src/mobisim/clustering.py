@@ -21,23 +21,38 @@ from .patterns import MobilityPattern
 
 MeasureFn = Callable[[MobilityPattern, MobilityPattern], float]
 
-MEASURES: tuple[str, ...] = (
-    "space",
-    "time",
-    "composite",
-    "tiakas-net",
-    "tiakas-time",
-    "tiakas-total",
-    "oss",
-    "lcss",
-    "cvti",
-)
 
-# Raw-unit similarities; everything else is a [0,1] dissimilarity.
-SIMILARITY_MEASURES: tuple[str, ...] = ("lcss", "cvti")
+@dataclass(frozen=True)
+class Measure:
+    """A measure's function and the inputs it reads besides the two patterns.
 
-# The measures that read a cell graph.
-GRAPH_MEASURES: tuple[str, ...] = ("tiakas-net", "tiakas-total")
+    fn takes (a, b), then the graph if reads_graph, then the weights if
+    reads_weights. similarity marks the raw-unit similarities, integer
+    counts that read only the two patterns; every other measure is a [0,1]
+    dissimilarity.
+    """
+
+    fn: Callable[..., float]
+    reads_graph: bool = False
+    reads_weights: bool = False
+    similarity: bool = False
+
+
+MEASURE_TABLE: dict[str, Measure] = {
+    "space": Measure(measures.spatial_dissimilarity),
+    "time": Measure(measures.temporal_dissimilarity),
+    "composite": Measure(measures.weighted_dissimilarity, reads_weights=True),
+    "tiakas-net": Measure(baselines.tiakas_net, reads_graph=True),
+    "tiakas-time": Measure(baselines.tiakas_time),
+    "tiakas-total": Measure(
+        baselines.tiakas_total, reads_graph=True, reads_weights=True
+    ),
+    "oss": Measure(baselines.oss),
+    "lcss": Measure(baselines.lcss, similarity=True),
+    "cvti": Measure(baselines.cvti, similarity=True),
+}
+
+MEASURES: tuple[str, ...] = tuple(MEASURE_TABLE)
 
 
 def resolve_measure(
@@ -47,53 +62,45 @@ def resolve_measure(
 ) -> MeasureFn:
     """Turn a measure selector into a two-pattern callable.
 
-    tiakas-net and tiakas-total need a graph; composite and tiakas-total
-    accept weights (default 0.5/0.5).
+    Measures that read a graph require one; measures that read weights
+    default to 0.5/0.5. Similarities are returned as floats.
     """
-    if name not in MEASURES:
+    spec = MEASURE_TABLE.get(name)
+    if spec is None:
         raise DomainError(
             f"unknown measure {name!r}; expected one of {', '.join(MEASURES)}"
         )
-    if name in GRAPH_MEASURES and graph is None:
+    if spec.reads_graph and graph is None:
         raise DomainError(f"measure {name!r} requires a cell graph")
 
-    if name == "space":
-        return measures.spatial_dissimilarity
-    if name == "time":
-        return measures.temporal_dissimilarity
-    if name == "composite":
-        return lambda a, b: measures.weighted_dissimilarity(a, b, weights)
-    if name == "tiakas-net":
-        return lambda a, b: baselines.tiakas_net(a, b, graph)
-    if name == "tiakas-time":
-        return baselines.tiakas_time
-    if name == "tiakas-total":
-        return lambda a, b: baselines.tiakas_total(a, b, graph, weights)
-    if name == "oss":
-        return baselines.oss
-    if name == "lcss":
-        return lambda a, b: float(baselines.lcss(a, b))
-    return lambda a, b: float(baselines.cvti(a, b))
+    fn = spec.fn
+    if spec.similarity:
+        return lambda a, b: float(fn(a, b))
+    extra = (graph,) * spec.reads_graph + (weights,) * spec.reads_weights
+    if not extra:
+        return fn
+    return lambda a, b: fn(a, b, *extra)
 
 
 @dataclass(frozen=True)
 class DissimilarityMatrix:
-    """Square table of pairwise measure values with provenance tag."""
+    """Square table of pairwise measure values, rows named by ids if given."""
 
-    n: int
     values: np.ndarray
-    measure_tag: str
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.n, self.n):
-            raise DomainError(
-                f"matrix shape {self.values.shape} does not match n={self.n}"
-            )
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DomainError(f"matrix shape {shape} is not square")
         if not np.isfinite(self.values).all():
             raise DomainError("matrix contains non-finite entries")
         if self.ids is not None and len(self.ids) != self.n:
             raise DomainError(f"{len(self.ids)} ids for {self.n} patterns")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
 
 
 def build_matrix(
@@ -123,12 +130,7 @@ def build_matrix(
                     f"{names[i]!r} and {names[j]!r}: {exc}"
                 ) from exc
     values.setflags(write=False)
-    return DissimilarityMatrix(
-        n=n,
-        values=values,
-        measure_tag=measure,
-        ids=ids,
-    )
+    return DissimilarityMatrix(values=values, ids=ids)
 
 
 @dataclass(frozen=True)

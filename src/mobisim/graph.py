@@ -8,7 +8,7 @@ cells directly. Distances are hop counts from breadth-first search.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainError, FormatError, GraphNotConnectedError, read_text
 
@@ -115,14 +115,6 @@ class CellGraph:
     def __repr__(self) -> str:
         links = sum(len(a) for a in self._adj) // 2
         return f"CellGraph({self._n} cells, {links} links)"
-
-
-def hop_distance(g: CellGraph, src: int, dst: int) -> int:
-    return g.hop_distance(src, dst)
-
-
-def diameter(g: CellGraph) -> int:
-    return g.diameter()
 
 
 # Offset scheme for hex_grid: cell id = row*cols + col, even rows shifted

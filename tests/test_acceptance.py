@@ -199,7 +199,7 @@ def test_criterion_5_clustering_properties():
         for i in range(n):
             for j in range(i + 1, n):
                 values[i, j] = values[j, i] = rng.uniform(0.05, 1.0)
-        m = DissimilarityMatrix(n=n, values=values, measure_tag="composite")
+        m = DissimilarityMatrix(values)
 
         result = kmedoids(m, k, seed=trial)
         hist = result.cost_history

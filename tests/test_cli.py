@@ -1,9 +1,13 @@
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mobisim
 from mobisim.casestudy import SA, SB
 from mobisim.cli import main
 from mobisim.graph import example_graph, save_graph
@@ -94,6 +98,22 @@ class TestDist:
         assert code == 3
         assert out == ""
         assert "error:" in err and "finite" in err
+
+    def test_weights_read_only_by_weighted_measures(self, capsys, trace_path, graph_path):
+        nan_weights = ("--wspace", "nan", "--wtime", "0.5")
+        code, out, _ = run_cli(
+            capsys, "dist", "Sa", "Sb", "--trace", trace_path,
+            "--measure", "oss", *nan_weights,
+        )
+        assert code == 0
+        assert out == "0.440000\n"
+        code, out, err = run_cli(
+            capsys, "dist", "Sa", "Sb", "--trace", trace_path,
+            "--measure", "tiakas-total", "--graph", graph_path, *nan_weights,
+        )
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
 
     def test_graph_ignored_by_graph_free_measures(self, capsys, trace_path, graph_path):
         _, without, _ = run_cli(capsys, "dist", "Sa", "Sb", "--trace", trace_path)
@@ -340,3 +360,34 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestEntryPoint:
+    """`python -m mobisim` exits with main's return code."""
+
+    def run_module(self, *argv):
+        src = str(Path(mobisim.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "mobisim", *argv],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_casestudy_exits_zero(self):
+        proc = self.run_module("casestudy")
+        assert proc.returncode == 0
+        assert "D_total(proposed) = 0.200" in proc.stdout
+
+    def test_missing_subcommand_exits_two(self):
+        proc = self.run_module()
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_data_error_exits_three(self, tmp_path):
+        missing = str(tmp_path / "nope.csv")
+        proc = self.run_module("dist", "a", "b", "--trace", missing)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and missing in proc.stderr

@@ -27,7 +27,7 @@ def random_symmetric_matrix(rng: random.Random, n: int) -> DissimilarityMatrix:
     for i in range(n):
         for j in range(i + 1, n):
             values[i, j] = values[j, i] = rng.uniform(0.05, 1.0)
-    return DissimilarityMatrix(n=n, values=values, measure_tag="composite")
+    return DissimilarityMatrix(values)
 
 
 # A few values that are not exact binary fractions, so equal swaps are
@@ -41,7 +41,7 @@ def oracle_matrix(rng: random.Random, n: int, family: str) -> DissimilarityMatri
     drawn from TIE_VALUES, diagonal included."""
     if family == "asymmetric":
         values = np.array([[rng.choice(TIE_VALUES) for _ in range(n)] for _ in range(n)])
-        return DissimilarityMatrix(n=n, values=values, measure_tag="composite")
+        return DissimilarityMatrix(values)
     draw = (lambda: rng.choice(TIE_VALUES)) if family == "ties" else (
         lambda: rng.uniform(0.05, 1.0)
     )
@@ -52,7 +52,7 @@ def oracle_matrix(rng: random.Random, n: int, family: str) -> DissimilarityMatri
     if family == "diagonal":
         for i in range(n):
             values[i, i] = rng.uniform(0.0, 0.3)
-    return DissimilarityMatrix(n=n, values=values, measure_tag="composite")
+    return DissimilarityMatrix(values)
 
 
 def grid_walk(rng: random.Random, grid, length: int) -> list[tuple[int, int]]:
@@ -82,9 +82,24 @@ class TestResolveMeasure:
         with pytest.raises(DomainError):
             resolve_measure("tiakas-total")
 
-    def test_weights_forwarded(self):
-        fn = resolve_measure("composite", weights=Weights(1.0, 0.0))
-        assert fn(SA, SB) == measures.spatial_dissimilarity(SA, SB)
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_matches_direct_call(self, name):
+        # Weights other than the default, so a measure that drops them fails.
+        g, w = example_graph(), Weights(0.8, 0.2)
+        want = {
+            "space": lambda: measures.spatial_dissimilarity(SA, SB),
+            "time": lambda: measures.temporal_dissimilarity(SA, SB),
+            "composite": lambda: measures.weighted_dissimilarity(SA, SB, w),
+            "tiakas-net": lambda: baselines.tiakas_net(SA, SB, g),
+            "tiakas-time": lambda: baselines.tiakas_time(SA, SB),
+            "tiakas-total": lambda: baselines.tiakas_total(SA, SB, g, w),
+            "oss": lambda: baselines.oss(SA, SB),
+            "lcss": lambda: baselines.lcss(SA, SB),
+            "cvti": lambda: baselines.cvti(SA, SB),
+        }[name]()
+        got = resolve_measure(name, graph=g, weights=w)(SA, SB)
+        assert type(got) is float
+        assert got == want
 
 
 class TestBuildMatrix:
@@ -234,7 +249,7 @@ class TestKmedoids:
         values[0, 1] = values[1, 0] = 0.5
         values[0, 2] = values[2, 0] = 0.5
         values[1, 2] = values[2, 1] = 0.9
-        m = DissimilarityMatrix(n=3, values=values, measure_tag="composite")
+        m = DissimilarityMatrix(values)
         result = kmedoids(m, 2, seed=0)
         assert result.assignment[0] == min(result.medoids)
 
@@ -290,11 +305,17 @@ class TestKmedoidsOracle:
 
 class TestMatrixValidation:
     def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            DissimilarityMatrix(n=3, values=np.zeros((2, 2)), measure_tag="oss")
+        for shape in ((3, 2), (3,), (2, 2, 2)):
+            with pytest.raises(DomainError, match="not square"):
+                DissimilarityMatrix(np.zeros(shape))
 
     def test_non_finite_rejected(self):
         bad = np.zeros((2, 2))
         bad[0, 1] = float("nan")
         with pytest.raises(DomainError):
-            DissimilarityMatrix(n=2, values=bad, measure_tag="oss")
+            DissimilarityMatrix(bad)
+
+    def test_ids_length_checked(self):
+        assert DissimilarityMatrix(np.zeros((2, 2)), ids=("a", "b")).n == 2
+        with pytest.raises(DomainError, match="1 ids for 2 patterns"):
+            DissimilarityMatrix(np.zeros((2, 2)), ids=("a",))

@@ -5,11 +5,9 @@ import pytest
 from mobisim.errors import DomainError, FormatError, GraphNotConnectedError
 from mobisim.graph import (
     CellGraph,
-    diameter,
     example_graph,
     format_graph,
     hex_grid,
-    hop_distance,
     parse_graph,
 )
 from support import random_connected_graph
@@ -56,11 +54,6 @@ class TestExampleGraph:
         g = example_graph()
         dist = floyd_warshall(g)
         assert g.diameter() == max(max(row) for row in dist)
-
-    def test_module_level_wrappers(self):
-        g = example_graph()
-        assert hop_distance(g, 7, 4) == 1
-        assert diameter(g) == 4
 
 
 class TestHopDistance:
