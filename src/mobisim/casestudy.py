@@ -35,16 +35,12 @@ def values() -> dict[str, float | int]:
     }
 
 
-def _fmt_pattern(p: MobilityPattern) -> str:
-    return "<" + " ".join(f"({pt.cell},t{pt.time.index})" for pt in p) + ">"
-
-
 def report() -> str:
     v = values()
     lines = [
         f"example graph: 12 cells, diameter D_G = {v['diameter']}",
-        f"Sa = {_fmt_pattern(SA)}",
-        f"Sb = {_fmt_pattern(SB)}",
+        f"Sa = {SA}",
+        f"Sb = {SB}",
         "",
         "network/time baseline (equal-length trajectories):",
         f"  D_net = {v['tiakas_net']:.3f}",

@@ -7,6 +7,7 @@ success, 2 for usage errors (argparse), 3 for data or precondition errors.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -73,8 +74,11 @@ def _matrix(args: argparse.Namespace) -> DissimilarityMatrix:
 def cmd_matrix(args: argparse.Namespace) -> str:
     m = _matrix(args)
     lines = ["id," + ",".join(m.ids)]
+    # One %-template per row gives the same bytes as f"{v:.6f}" per value,
+    # with one format call per row instead of one per value.
+    template = ",".join(["%.6f"] * m.n)
     for pid, row in zip(m.ids, m.values.tolist()):
-        lines.append(pid + "," + ",".join(f"{v:.6f}" for v in row))
+        lines.append(pid + "," + template % tuple(row))
     return _emit("\n".join(lines) + "\n", args.out)
 
 
@@ -178,7 +182,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if out:
-        print(out)
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early (`mobisim matrix ... | head`).
+            # Point stdout at devnull so the flush at exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 1
     return 0
 
 

@@ -29,30 +29,52 @@ class Measure:
     fn takes (a, b), then the graph if reads_graph, then the weights if
     reads_weights. similarity marks the raw-unit similarities, integer
     counts that read only the two patterns; every other measure is a [0,1]
-    dissimilarity.
+    dissimilarity. disjoint, for a measure that reads only the cells two
+    patterns share, takes fn's extra inputs and returns fn's value on any
+    pair that shares no cell; it is None for the positional measures.
     """
 
     fn: Callable[..., float]
     reads_graph: bool = False
     reads_weights: bool = False
     similarity: bool = False
+    disjoint: Callable[..., float] | None = None
+
+
+def _always(value: float) -> Callable[..., float]:
+    return lambda *extra: value
+
+
+def _weighted_disjoint(weights: Weights | None) -> float:
+    """weighted_dissimilarity on a cell-disjoint pair: both parts are 1."""
+    w = measures.DEFAULT_WEIGHTS if weights is None else weights
+    return w.space * 1.0 + w.time * 1.0
 
 
 MEASURE_TABLE: dict[str, Measure] = {
-    "space": Measure(measures.spatial_dissimilarity),
-    "time": Measure(measures.temporal_dissimilarity),
-    "composite": Measure(measures.weighted_dissimilarity, reads_weights=True),
+    "space": Measure(measures.spatial_dissimilarity, disjoint=_always(1.0)),
+    "time": Measure(measures.temporal_dissimilarity, disjoint=_always(1.0)),
+    "composite": Measure(
+        measures.weighted_dissimilarity,
+        reads_weights=True,
+        disjoint=_weighted_disjoint,
+    ),
     "tiakas-net": Measure(baselines.tiakas_net, reads_graph=True),
     "tiakas-time": Measure(baselines.tiakas_time),
     "tiakas-total": Measure(
         baselines.tiakas_total, reads_graph=True, reads_weights=True
     ),
-    "oss": Measure(baselines.oss),
-    "lcss": Measure(baselines.lcss, similarity=True),
-    "cvti": Measure(baselines.cvti, similarity=True),
+    "oss": Measure(baselines.oss, disjoint=_always(1.0)),
+    "lcss": Measure(baselines.lcss, similarity=True, disjoint=_always(0.0)),
+    "cvti": Measure(baselines.cvti, similarity=True, disjoint=_always(0.0)),
 }
 
 MEASURES: tuple[str, ...] = tuple(MEASURE_TABLE)
+
+
+def _extra(spec: Measure, graph: CellGraph | None, weights: Weights | None) -> tuple:
+    """The inputs spec.fn reads after the two patterns."""
+    return (graph,) * spec.reads_graph + (weights,) * spec.reads_weights
 
 
 def resolve_measure(
@@ -76,7 +98,7 @@ def resolve_measure(
     fn = spec.fn
     if spec.similarity:
         return lambda a, b: float(fn(a, b))
-    extra = (graph,) * spec.reads_graph + (weights,) * spec.reads_weights
+    extra = _extra(spec, graph, weights)
     if not extra:
         return fn
     return lambda a, b: fn(a, b, *extra)
@@ -103,6 +125,20 @@ class DissimilarityMatrix:
         return self.values.shape[0]
 
 
+def _sharing_pairs(patterns: Sequence[MobilityPattern]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, in row-major order, of the pairs i <= j whose
+    patterns share a cell; the diagonal is always included."""
+    visitors: dict[int, list[int]] = {}
+    for i, p in enumerate(patterns):
+        for cell in set(p.cells):
+            visitors.setdefault(cell, []).append(i)
+    shared = np.eye(len(patterns), dtype=bool)
+    for group in visitors.values():
+        if len(group) > 1:
+            shared[np.ix_(group, group)] = True
+    return np.nonzero(np.triu(shared))
+
+
 def build_matrix(
     patterns: Sequence[MobilityPattern],
     measure: str,
@@ -110,25 +146,50 @@ def build_matrix(
     weights: Weights | None = None,
     ids: Sequence[str] | None = None,
 ) -> DissimilarityMatrix:
-    """Evaluate the measure on every ordered pair, diagonal included."""
+    """Evaluate the measure on every ordered pair, diagonal included.
+
+    Every measure is exactly symmetric (d(a, b) == d(b, a) bit for bit), so
+    only pairs i <= j are evaluated and each value is mirrored to (j, i).
+    A measure with a disjoint value reads only the cells two patterns
+    share: an index from each cell to the patterns visiting it gives the
+    candidate pairs, those that share a cell (inverted-index candidate
+    generation, as in Bayardo, Ma & Srikant, WWW 2007), and the measure
+    runs on those alone. Every other pair gets the disjoint value, which
+    is what the measure returns on it. The positional tiakas measures run
+    on every pair i <= j. Candidates run in row-major order, so a failing
+    measure names the first pair that a full row-major scan would.
+
+    The index is plain Python and numpy: importing scipy.sparse alone
+    costs more time and memory than building the whole matrix does on
+    traces where few pairs share a cell.
+    """
     if not patterns:
         raise DomainError("need at least one pattern")
     fn = resolve_measure(measure, graph=graph, weights=weights)
+    spec = MEASURE_TABLE[measure]
     n = len(patterns)
     ids = None if ids is None else tuple(ids)
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
-    values = np.empty((n, n), dtype=np.float64)
-    for i, pa in enumerate(patterns):
-        for j, pb in enumerate(patterns):
-            try:
-                values[i, j] = fn(pa, pb)
-            except DomainError as exc:
-                raise DomainError(
-                    f"measure {measure!r} failed for patterns "
-                    f"{names[i]!r} and {names[j]!r}: {exc}"
-                ) from exc
+    if spec.disjoint is None:
+        rows, cols = np.triu_indices(n)
+        values = np.empty((n, n), dtype=np.float64)
+    else:
+        rows, cols = _sharing_pairs(patterns)
+        fill = spec.disjoint(*_extra(spec, graph, weights))
+        values = np.full((n, n), fill, dtype=np.float64)
+    found = []
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        try:
+            found.append(fn(patterns[i], patterns[j]))
+        except DomainError as exc:
+            raise DomainError(
+                f"measure {measure!r} failed for patterns "
+                f"{names[i]!r} and {names[j]!r}: {exc}"
+            ) from exc
+    values[rows, cols] = found
+    values[cols, rows] = found
     values.setflags(write=False)
     return DissimilarityMatrix(values=values, ids=ids)
 

@@ -89,7 +89,8 @@ class MobilityPattern:
 
     Stored as two int tuples, `cells` and `slots` (ordinal timestamp
     indices), which is all the measures read; `points`, iteration and
-    indexing build `Point` views on demand.
+    indexing build `Point` views on demand. str() gives the points as
+    `<(cell,tN) ...>`, and repr() adds the word "pattern".
 
     With strict=True, at most two consecutive points may share a timestamp;
     by default any non-decreasing run is accepted.
@@ -140,9 +141,11 @@ class MobilityPattern:
     def __hash__(self) -> int:
         return hash((self.cells, self.slots))
 
+    def __str__(self) -> str:
+        return "<" + " ".join(f"({c},t{t})" for c, t in zip(self.cells, self.slots)) + ">"
+
     def __repr__(self) -> str:
-        inner = " ".join(f"({c},t{t})" for c, t in zip(self.cells, self.slots))
-        return f"<pattern {inner}>"
+        return "<pattern " + str(self)[1:]
 
 
 def make_pattern(

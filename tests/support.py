@@ -12,9 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from mobisim.clustering import ClusterAssignment, DissimilarityMatrix
+from mobisim.clustering import ClusterAssignment, DissimilarityMatrix, resolve_measure
 from mobisim.errors import DomainError
 from mobisim.graph import CellGraph
+from mobisim.measures import Weights
 from mobisim.patterns import MobilityPattern, make_pattern
 
 
@@ -100,6 +101,37 @@ def has_repeat_at_distinct_slots(p: MobilityPattern) -> bool:
             return True
         seen.setdefault(pt.cell, pt.time.index)
     return False
+
+
+def brute_build_matrix(
+    patterns: Sequence[MobilityPattern],
+    measure: str,
+    graph: CellGraph | None = None,
+    weights: Weights | None = None,
+    ids: Sequence[str] | None = None,
+) -> DissimilarityMatrix:
+    """The loop build: evaluate the measure on every ordered pair, diagonal
+    included, in row-major order."""
+    if not patterns:
+        raise DomainError("need at least one pattern")
+    fn = resolve_measure(measure, graph=graph, weights=weights)
+    n = len(patterns)
+    ids = None if ids is None else tuple(ids)
+    if ids is not None and len(ids) != n:
+        raise DomainError(f"{len(ids)} ids for {n} patterns")
+    names = range(n) if ids is None else ids
+    values = np.empty((n, n), dtype=np.float64)
+    for i, pa in enumerate(patterns):
+        for j, pb in enumerate(patterns):
+            try:
+                values[i, j] = fn(pa, pb)
+            except DomainError as exc:
+                raise DomainError(
+                    f"measure {measure!r} failed for patterns "
+                    f"{names[i]!r} and {names[j]!r}: {exc}"
+                ) from exc
+    values.setflags(write=False)
+    return DissimilarityMatrix(values=values, ids=ids)
 
 
 def _assign(values: np.ndarray, medoids: Sequence[int]) -> tuple[list[int], float]:

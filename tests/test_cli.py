@@ -1,15 +1,19 @@
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mobisim
+from mobisim import cli
 from mobisim.casestudy import SA, SB
 from mobisim.cli import main
+from mobisim.clustering import DissimilarityMatrix, build_matrix
 from mobisim.graph import example_graph, save_graph
 from mobisim.measures import weighted_dissimilarity
 from mobisim.patterns import load_trace, make_pattern, save_trace
@@ -27,6 +31,14 @@ def graph_path(tmp_path):
     path = tmp_path / "graph.txt"
     save_graph(example_graph(), str(path))
     return str(path)
+
+
+def per_value_text(m: DissimilarityMatrix) -> str:
+    """The matrix text written one f-string per value."""
+    lines = ["id," + ",".join(m.ids)]
+    for pid, row in zip(m.ids, m.values.tolist()):
+        lines.append(pid + "," + ",".join(f"{v:.6f}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +207,30 @@ class TestMatrix:
                 assert abs(got - want) <= 1e-6
 
 
+    @pytest.mark.parametrize("measure", ["lcss", "cvti", "composite"])
+    def test_text_is_per_value_format(self, capsys, graph_path, tmp_path, measure):
+        gen_path = tmp_path / "gen.csv"
+        run_cli(
+            capsys, "gen", "--graph", graph_path, "--count", "9",
+            "--min-len", "1", "--max-len", "9", "--seed", "4", "--out", str(gen_path),
+        )
+        patterns = load_trace(str(gen_path))
+        m = build_matrix(list(patterns.values()), measure, ids=list(patterns))
+        if measure != "composite":
+            assert m.values.max() >= 1.0
+        code, out, _ = run_cli(capsys, "matrix", "--trace", str(gen_path), "--measure", measure)
+        assert code == 0
+        assert out == per_value_text(m) + "\n"
+
+    def test_signed_zero_text(self, capsys, monkeypatch, trace_path):
+        values = np.array([[-0.0, 0.0, -1e-9], [135.0, 1e-7, 2.5e-7], [0.1234565, 999999.9999995, 7.0]])
+        m = DissimilarityMatrix(values, ids=("a", "b", "c"))
+        monkeypatch.setattr(cli, "_matrix", lambda args: m)
+        code, out, _ = run_cli(capsys, "matrix", "--trace", trace_path)
+        assert code == 0
+        assert out == per_value_text(m) + "\n"
+        assert out.splitlines()[1] == "a,-0.000000,0.000000,-0.000000"
+
     def test_errors_name_pattern_ids(self, capsys, tmp_path):
         path = tmp_path / "mixed.csv"
         short = make_pattern([(0, 1), (1, 2)])
@@ -259,6 +295,8 @@ class TestCasestudy:
         code, out, _ = run_cli(capsys, "casestudy")
         assert code == 0
         for needle in (
+            "Sa = <(1,t1) (0,t3) (2,t4) (8,t6) (7,t9)>\n",
+            "Sb = <(0,t3) (2,t4) (3,t5) (8,t6) (4,t8)>\n",
             "D_net = 0.200",
             "D_time(tiakas) = 0.333",
             "D_total(tiakas) = 0.267",
@@ -365,29 +403,71 @@ class TestGen:
 class TestEntryPoint:
     """`python -m mobisim` exits with main's return code."""
 
-    def run_module(self, *argv):
+    @staticmethod
+    def env():
+        """This environment, with this checkout's mobisim first on the path."""
         src = str(Path(mobisim.__file__).resolve().parent.parent)
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return {**os.environ, "PYTHONPATH": pythonpath}
+
+    def run_python(self, *argv):
         return subprocess.run(
-            [sys.executable, "-m", "mobisim", *argv],
-            env={**os.environ, "PYTHONPATH": pythonpath},
+            [sys.executable, *argv],
+            env=self.env(),
             capture_output=True,
             text=True,
             timeout=60,
         )
 
     def test_casestudy_exits_zero(self):
-        proc = self.run_module("casestudy")
+        proc = self.run_python("-m", "mobisim", "casestudy")
         assert proc.returncode == 0
         assert "D_total(proposed) = 0.200" in proc.stdout
 
     def test_missing_subcommand_exits_two(self):
-        proc = self.run_module()
+        proc = self.run_python("-m", "mobisim")
         assert proc.returncode == 2
         assert proc.stdout == ""
 
     def test_data_error_exits_three(self, tmp_path):
         missing = str(tmp_path / "nope.csv")
-        proc = self.run_module("dist", "a", "b", "--trace", missing)
+        proc = self.run_python("-m", "mobisim", "dist", "a", "b", "--trace", missing)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and missing in proc.stderr
+
+    def test_closed_stdout_ends_without_traceback(self, tmp_path):
+        # `mobisim matrix ... | head -c 10`: the matrix text (about 1.4 MB)
+        # is far larger than a pipe's buffer, so the write fails after the
+        # reader closes its end.
+        rng = random.Random(7)
+        path = tmp_path / "big.csv"
+        save_trace(
+            {f"p{i:04d}": make_pattern([(rng.randrange(500), 1)]) for i in range(400)},
+            str(path),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mobisim", "matrix", "--trace", str(path)],
+            env=self.env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b"id,p0000,p"
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert b"Traceback" not in err
+        assert err == b""
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy costs about 0.15 s and 20 MB to import; nothing may pull it in.
+        proc = self.run_python(
+            "-c",
+            "import sys, mobisim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "[]\n"

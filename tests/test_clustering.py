@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobisim import baselines, measures
 from mobisim.clustering import (
+    MEASURE_TABLE,
     MEASURES,
     DissimilarityMatrix,
     build_matrix,
@@ -16,7 +18,12 @@ from mobisim.errors import DomainError
 from mobisim.graph import example_graph, hex_grid
 from mobisim.measures import Weights
 from mobisim.patterns import make_pattern
-from support import brute_kmedoids, random_pattern
+from support import (
+    brute_build_matrix,
+    brute_kmedoids,
+    has_repeat_at_distinct_slots,
+    random_pattern,
+)
 
 SA = make_pattern([(1, 1), (0, 3), (2, 4), (8, 6), (7, 9)])
 SB = make_pattern([(0, 3), (2, 4), (3, 5), (8, 6), (4, 8)])
@@ -301,6 +308,128 @@ class TestKmedoidsOracle:
         assert len(result.cost_history) > 1
         assert result == brute_kmedoids(m, 8, seed=1)
         assert result.total_cost == result.cost_history[-1]
+
+
+# Default weights, two skewed ones, and one whose parts do not add up to
+# exactly 1.0 in floating point, so a composite fill of plain 1.0 is wrong.
+ORACLE_WEIGHTS = (None, Weights(0.8, 0.2), Weights(0.3, 0.7), Weights(0.5, 0.5 + 4e-13))
+ORACLE_GRID = hex_grid(4, 4)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes, so 0.0 and -0.0 differ."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(build, pats, name, weights):
+    """The values build gives, or the text of the DomainError it raises."""
+    ids = [f"q{i:02d}" for i in range(len(pats))]
+    try:
+        m = build(pats, name, graph=ORACLE_GRID, weights=weights, ids=ids)
+    except DomainError as exc:
+        return str(exc)
+    assert m.ids == tuple(ids)
+    return m.values
+
+
+def assert_matches_loop_build(pats, name, weights):
+    want = outcome(brute_build_matrix, pats, name, weights)
+    got = outcome(build_matrix, pats, name, weights)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bits(got, want)
+        assert same_bits(got, got.T)
+
+
+def oracle_traces(rng: random.Random):
+    """Seeded traces on ORACLE_GRID, each a list of patterns."""
+    lengths = [1, 1] + [rng.randint(2, 10) for _ in range(12)]
+    walks = [make_pattern(grid_walk(rng, ORACLE_GRID, n)) for n in lengths]
+    walks.append(make_pattern([(0, 2), (1, 3), (0, 7)]))
+    assert has_repeat_at_distinct_slots(walks[-1])
+    equal = [make_pattern(grid_walk(rng, ORACLE_GRID, 5)) for _ in range(10)]
+    one_point = [make_pattern([(rng.randrange(6), rng.randint(1, 11))]) for _ in range(8)]
+    # Pattern i stays on cell i, revisiting it: no pair shares a cell and
+    # every diagonal of the temporal part is nonzero.
+    disjoint = [make_pattern([(i, 1), (i, 4 + i)]) for i in range(8)]
+    single = [make_pattern(grid_walk(rng, ORACLE_GRID, rng.randint(1, 6)))]
+    return {"walks": walks, "equal": equal, "one-point": one_point,
+            "disjoint": disjoint, "single": single}
+
+
+@st.composite
+def traces(draw, n_cells=6):
+    """Up to eight patterns on cells 0..n_cells-1, equal-length or not."""
+    count = draw(st.integers(1, 8))
+    equal = draw(st.booleans())
+    fixed = draw(st.integers(1, 6))
+    pats = []
+    for _ in range(count):
+        length = fixed if equal else draw(st.integers(1, 6))
+        slots = sorted(draw(st.lists(st.integers(1, 11), min_size=length, max_size=length)))
+        cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=length, max_size=length))
+        pats.append(make_pattern(list(zip(cells, slots))))
+    return pats
+
+
+class TestBuildMatrixOracle:
+    """build_matrix, which evaluates only pairs that share a cell, must equal
+    the loop over every ordered pair bit for bit, and fail with the same
+    message naming the same pattern ids."""
+
+    @pytest.mark.parametrize("weights", ORACLE_WEIGHTS, ids=str)
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_matches_loop_build_on_seeded_traces(self, name, weights):
+        rng = random.Random(f"build/{name}")
+        for _ in range(3):
+            for pats in oracle_traces(rng).values():
+                assert_matches_loop_build(pats, name, weights)
+
+    def test_disjoint_trace_has_nonzero_diagonal(self):
+        pats = oracle_traces(random.Random(0))["disjoint"]
+        m = build_matrix(pats, "composite")
+        assert np.diagonal(m.values).all()
+        assert (m.values[~np.eye(len(pats), dtype=bool)] == 1.0).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        traces(),
+        st.sampled_from(MEASURES),
+        st.sampled_from(ORACLE_WEIGHTS),
+    )
+    def test_matches_loop_build_on_generated_traces(self, pats, name, weights):
+        assert_matches_loop_build(pats, name, weights)
+
+    @pytest.mark.parametrize("name", ["tiakas-net", "tiakas-time", "tiakas-total"])
+    def test_failure_names_the_same_pair(self, name):
+        # Lengths 2, 2, 3, 1: the first pair in row-major order with unequal
+        # lengths is (0, 2).
+        pats = [
+            make_pattern([(0, 1), (1, 2)]),
+            make_pattern([(2, 1), (3, 2)]),
+            make_pattern([(0, 1), (1, 2), (2, 3)]),
+            make_pattern([(0, 1)]),
+        ]
+        want = outcome(brute_build_matrix, pats, name, None)
+        assert "'q00' and 'q02': patterns must have equal length, got 2 and 3" in want
+        assert outcome(build_matrix, pats, name, None) == want
+
+    @pytest.mark.parametrize(
+        "name", [n for n, spec in MEASURE_TABLE.items() if spec.disjoint is not None]
+    )
+    def test_disjoint_value_is_the_measures_value(self, name):
+        spec = MEASURE_TABLE[name]
+        rng = random.Random(f"disjoint/{name}")
+        for weights in ORACLE_WEIGHTS:
+            fn = resolve_measure(name, weights=weights)
+            extra = (weights,) * spec.reads_weights
+            for _ in range(50):
+                # a visits cells 0..4 and b cells 5..9.
+                a = random_pattern(rng, 5, max_len=8)
+                b = random_pattern(rng, 5, max_len=8)
+                b = make_pattern([(c + 5, t) for c, t in zip(b.cells, b.slots)])
+                assert fn(a, b) == fn(b, a) == spec.disjoint(*extra)
 
 
 class TestMatrixValidation:

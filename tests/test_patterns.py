@@ -125,6 +125,7 @@ class TestMakePattern:
         assert p[-1] == p.points[-1] and p[:1] == p.points[:1]
         assert list(p) == list(p.points)
         assert repr(p) == "<pattern (1,t1) (2,t11)>"
+        assert str(p) == "<(1,t1) (2,t11)>"
 
     def test_error_messages_name_points(self):
         with pytest.raises(DomainError, match=r"\(0,t5\) then \(1,t3\)"):
