@@ -13,7 +13,7 @@ import math
 
 from .errors import DomainError
 from .graph import CellGraph
-from .measures import DEFAULT_WEIGHTS, Weights
+from .measures import DEFAULT_WEIGHTS, Weights, uncommon_cell_count
 from .patterns import TIMESTAMPS, MobilityPattern
 
 
@@ -80,13 +80,10 @@ def oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:
     total is divided by max(n, m).
     """
     cells_a, cells_b = a.cells, b.cells
-    set_a, set_b = set(cells_a), set(cells_b)
-    g = sum(1 for c in cells_a if c not in set_b) + sum(
-        1 for c in cells_b if c not in set_a
-    )
+    g = uncommon_cell_count(a, b)
 
     displacement = 0
-    for cell in set_a & set_b:
+    for cell in set(cells_a).intersection(cells_b):
         pos_a = [i for i, c in enumerate(cells_a) if c == cell]
         pos_b = [i for i, c in enumerate(cells_b) if c == cell]
         displacement += sum(
@@ -114,6 +111,14 @@ def lcss(a: MobilityPattern, b: MobilityPattern) -> int:
     return prev[-1]
 
 
+# Minutes shared by the closed intervals of slots i + 1 and j + 1.
+_SLOT_OVERLAP = [
+    [max(0, min(s.end_minute, t.end_minute) - max(s.start_minute, t.start_minute) + 1)
+     for t in TIMESTAMPS]
+    for s in TIMESTAMPS
+]
+
+
 def cvti(a: MobilityPattern, b: MobilityPattern) -> int:
     """Common visit time: total minutes of slot overlap on shared cells.
 
@@ -124,11 +129,8 @@ def cvti(a: MobilityPattern, b: MobilityPattern) -> int:
     """
     total = 0
     for ca, ta in zip(a.cells, a.slots):
+        row = _SLOT_OVERLAP[ta - 1]
         for cb, tb in zip(b.cells, b.slots):
             if ca == cb:
-                sa, sb = TIMESTAMPS[ta - 1], TIMESTAMPS[tb - 1]
-                total += max(
-                    0, min(sa.end_minute, sb.end_minute)
-                    - max(sa.start_minute, sb.start_minute) + 1,
-                )
+                total += row[tb - 1]
     return total

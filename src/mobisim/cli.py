@@ -23,7 +23,7 @@ from .clustering import (
 from .errors import DomainError
 from .graph import CellGraph, load_graph
 from .measures import Weights
-from .patterns import MobilityPattern, format_trace, load_trace, make_pattern
+from .patterns import MobilityPattern, format_trace, load_trace
 
 
 def _weights(args: argparse.Namespace) -> Weights | None:
@@ -122,7 +122,7 @@ def cmd_gen(args: argparse.Namespace) -> str:
         for slot in slots[1:]:
             cell = rng.choice((cell, *graph.neighbors(cell)))
             pairs.append((cell, slot))
-        patterns[f"p{i:0{width}d}"] = make_pattern(pairs)
+        patterns[f"p{i:0{width}d}"] = MobilityPattern(pairs)
     return _emit(format_trace(patterns), args.out)
 
 

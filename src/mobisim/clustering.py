@@ -29,52 +29,39 @@ class Measure:
     fn takes (a, b), then the graph if reads_graph, then the weights if
     reads_weights. similarity marks the raw-unit similarities, integer
     counts that read only the two patterns; every other measure is a [0,1]
-    dissimilarity. disjoint, for a measure that reads only the cells two
-    patterns share, takes fn's extra inputs and returns fn's value on any
-    pair that shares no cell; it is None for the positional measures.
+    dissimilarity. cell_local marks a measure that reads only the cells two
+    patterns share, so it has one value on every pair that shares no cell;
+    the positional measures are not cell-local.
     """
 
     fn: Callable[..., float]
     reads_graph: bool = False
     reads_weights: bool = False
     similarity: bool = False
-    disjoint: Callable[..., float] | None = None
-
-
-def _always(value: float) -> Callable[..., float]:
-    return lambda *extra: value
-
-
-def _weighted_disjoint(weights: Weights | None) -> float:
-    """weighted_dissimilarity on a cell-disjoint pair: both parts are 1."""
-    w = measures.DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * 1.0 + w.time * 1.0
+    cell_local: bool = False
 
 
 MEASURE_TABLE: dict[str, Measure] = {
-    "space": Measure(measures.spatial_dissimilarity, disjoint=_always(1.0)),
-    "time": Measure(measures.temporal_dissimilarity, disjoint=_always(1.0)),
+    "space": Measure(measures.spatial_dissimilarity, cell_local=True),
+    "time": Measure(measures.temporal_dissimilarity, cell_local=True),
     "composite": Measure(
-        measures.weighted_dissimilarity,
-        reads_weights=True,
-        disjoint=_weighted_disjoint,
+        measures.weighted_dissimilarity, reads_weights=True, cell_local=True
     ),
     "tiakas-net": Measure(baselines.tiakas_net, reads_graph=True),
     "tiakas-time": Measure(baselines.tiakas_time),
     "tiakas-total": Measure(
         baselines.tiakas_total, reads_graph=True, reads_weights=True
     ),
-    "oss": Measure(baselines.oss, disjoint=_always(1.0)),
-    "lcss": Measure(baselines.lcss, similarity=True, disjoint=_always(0.0)),
-    "cvti": Measure(baselines.cvti, similarity=True, disjoint=_always(0.0)),
+    "oss": Measure(baselines.oss, cell_local=True),
+    "lcss": Measure(baselines.lcss, similarity=True, cell_local=True),
+    "cvti": Measure(baselines.cvti, similarity=True, cell_local=True),
 }
 
 MEASURES: tuple[str, ...] = tuple(MEASURE_TABLE)
 
-
-def _extra(spec: Measure, graph: CellGraph | None, weights: Weights | None) -> tuple:
-    """The inputs spec.fn reads after the two patterns."""
-    return (graph,) * spec.reads_graph + (weights,) * spec.reads_weights
+# Two one-point patterns on different cells: a cell-local measure's value on
+# this pair is its value on every pair that shares no cell.
+_DISJOINT_PAIR = (MobilityPattern([(0, 1)]), MobilityPattern([(1, 1)]))
 
 
 def resolve_measure(
@@ -98,7 +85,7 @@ def resolve_measure(
     fn = spec.fn
     if spec.similarity:
         return lambda a, b: float(fn(a, b))
-    extra = _extra(spec, graph, weights)
+    extra = (graph,) * spec.reads_graph + (weights,) * spec.reads_weights
     if not extra:
         return fn
     return lambda a, b: fn(a, b, *extra)
@@ -150,13 +137,13 @@ def build_matrix(
 
     Every measure is exactly symmetric (d(a, b) == d(b, a) bit for bit), so
     only pairs i <= j are evaluated and each value is mirrored to (j, i).
-    A measure with a disjoint value reads only the cells two patterns
-    share: an index from each cell to the patterns visiting it gives the
-    candidate pairs, those that share a cell (inverted-index candidate
-    generation, as in Bayardo, Ma & Srikant, WWW 2007), and the measure
-    runs on those alone. Every other pair gets the disjoint value, which
-    is what the measure returns on it. The positional tiakas measures run
-    on every pair i <= j. Candidates run in row-major order, so a failing
+    A cell-local measure reads only the cells two patterns share: an
+    index from each cell to the patterns visiting it gives the candidate
+    pairs, those that share a cell (inverted-index candidate generation,
+    as in Bayardo, Ma & Srikant, WWW 2007), and the measure runs on those
+    alone. Every other pair gets the measure's value on _DISJOINT_PAIR,
+    the same as on any pair sharing no cell. The tiakas measures run on
+    every pair i <= j. Candidates run in row-major order, so a failing
     measure names the first pair that a full row-major scan would.
 
     The index is plain Python and numpy: importing scipy.sparse alone
@@ -172,13 +159,12 @@ def build_matrix(
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
-    if spec.disjoint is None:
+    if spec.cell_local:
+        rows, cols = _sharing_pairs(patterns)
+        values = np.full((n, n), fn(*_DISJOINT_PAIR), dtype=np.float64)
+    else:
         rows, cols = np.triu_indices(n)
         values = np.empty((n, n), dtype=np.float64)
-    else:
-        rows, cols = _sharing_pairs(patterns)
-        fill = spec.disjoint(*_extra(spec, graph, weights))
-        values = np.full((n, n), fill, dtype=np.float64)
     found = []
     for i, j in zip(rows.tolist(), cols.tolist()):
         try:

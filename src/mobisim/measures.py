@@ -40,11 +40,8 @@ def uncommon_cell_count(a: MobilityPattern, b: MobilityPattern) -> int:
     Counted in both directions: points of a with a cell absent from b, plus
     points of b with a cell absent from a. Repeated visits count once each.
     """
-    cells_a = set(a.cells)
-    cells_b = set(b.cells)
-    return sum(1 for c in a.cells if c not in cells_b) + sum(
-        1 for c in b.cells if c not in cells_a
-    )
+    cells_a, cells_b = set(a.cells), set(b.cells)
+    return sum(c not in cells_b for c in a.cells) + sum(c not in cells_a for c in b.cells)
 
 
 def spatial_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:

@@ -23,6 +23,28 @@ SLOT_COUNT = 11
 DAY_MINUTES = 1440
 
 
+# The one check of a slot index and of a cell id: each returns its argument
+# as an int or raises DomainError. Timestamp and Point share them.
+def _check_slot(index: int) -> int:
+    try:
+        slot = operator.index(index)
+    except TypeError:
+        raise DomainError(f"timestamp index {index!r} is not an integer") from None
+    if not 1 <= slot <= SLOT_COUNT:
+        raise DomainError(f"timestamp index {index} outside 1..{SLOT_COUNT}")
+    return slot
+
+
+def _check_cell(cell: int) -> int:
+    try:
+        cell_id = operator.index(cell)
+    except TypeError:
+        raise DomainError(f"cell id {cell!r} is not an integer") from None
+    if cell_id < 0:
+        raise DomainError(f"cell id must be non-negative, got {cell}")
+    return cell_id
+
+
 @dataclass(frozen=True, order=True)
 class Timestamp:
     """Ordinal time-of-day slot, index 1..11."""
@@ -30,14 +52,7 @@ class Timestamp:
     index: int
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.index)
-        except TypeError:
-            raise DomainError(
-                f"timestamp index {self.index!r} is not an integer"
-            ) from None
-        if not 1 <= self.index <= SLOT_COUNT:
-            raise DomainError(f"timestamp index {self.index} outside 1..{SLOT_COUNT}")
+        _check_slot(self.index)
 
     @property
     def start_minute(self) -> int:
@@ -77,8 +92,7 @@ class Point:
     time: Timestamp
 
     def __post_init__(self) -> None:
-        if self.cell < 0:
-            raise DomainError(f"cell id must be non-negative, got {self.cell}")
+        _check_cell(self.cell)
 
     def __repr__(self) -> str:
         return f"({self.cell},{self.time!r})"
@@ -87,10 +101,11 @@ class Point:
 class MobilityPattern:
     """Ordered non-empty sequence of points with non-decreasing timestamps.
 
-    Stored as two int tuples, `cells` and `slots` (ordinal timestamp
-    indices), which is all the measures read; `points`, iteration and
-    indexing build `Point` views on demand. str() gives the points as
-    `<(cell,tN) ...>`, and repr() adds the word "pattern".
+    Built from (cell id, timestamp index) int pairs, which are validated
+    here and stored as two int tuples, `cells` and `slots`; that is all the
+    measures read. `points`, iteration and indexing build `Point` views on
+    demand. str() gives the points as `<(cell,tN) ...>`, and repr() adds
+    the word "pattern".
 
     With strict=True, at most two consecutive points may share a timestamp;
     by default any non-decreasing run is accepted.
@@ -98,22 +113,23 @@ class MobilityPattern:
 
     __slots__ = ("cells", "slots")
 
-    def __init__(self, points: Iterable[Point], strict: bool = False):
-        pts = tuple(points)
-        if not pts:
+    def __init__(self, pairs: Iterable[tuple[int, int]], strict: bool = False):
+        # Every point is checked, slot before cell, before any ordering check.
+        checked = [(_check_slot(slot), _check_cell(cell)) for cell, slot in pairs]
+        if not checked:
             raise DomainError("a pattern needs at least one point")
-        cells = tuple(p.cell for p in pts)
-        slots = tuple(p.time.index for p in pts)
+        slots, cells = zip(*checked)
         for i in range(1, len(slots)):
             if slots[i] < slots[i - 1]:
                 raise DomainError(
-                    f"timestamps must be non-decreasing ({pts[i - 1]!r} then {pts[i]!r})"
+                    "timestamps must be non-decreasing "
+                    f"(({cells[i - 1]},t{slots[i - 1]}) then ({cells[i]},t{slots[i]}))"
                 )
         if strict:
             for i in range(2, len(slots)):
                 if slots[i - 2] == slots[i - 1] == slots[i]:
                     raise DomainError(
-                        f"more than two consecutive points share {pts[i].time!r}"
+                        f"more than two consecutive points share t{slots[i]}"
                     )
         self.cells = cells
         self.slots = slots
@@ -152,9 +168,7 @@ def make_pattern(
     pairs: Sequence[tuple[int, int]], strict: bool = False
 ) -> MobilityPattern:
     """Build a validated pattern from (cell id, timestamp index) pairs."""
-    return MobilityPattern(
-        (Point(cell, Timestamp(t)) for cell, t in pairs), strict=strict
-    )
+    return MobilityPattern(pairs, strict=strict)
 
 
 def is_subpattern(b: MobilityPattern, a: MobilityPattern) -> bool:
@@ -178,8 +192,9 @@ def parse_trace(text: str) -> dict[str, MobilityPattern]:
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise FormatError(f"expected header {TRACE_HEADER!r}")
 
-    groups: dict[str, list[tuple[int, int, int]]] = {}
+    groups: dict[str, list[tuple[int, int]]] = {}
     last_id: str | None = None
+    last_seq = 0
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
@@ -202,19 +217,19 @@ def parse_trace(text: str) -> dict[str, MobilityPattern]:
                 raise FormatError(
                     f"line {lineno}: pattern ids out of order ({pid!r} after {last_id!r})"
                 )
-            groups[pid] = []
+            pairs = groups[pid] = []
             last_id = pid
-        rows = groups[pid]
-        if rows and seq <= rows[-1][0]:
+        elif seq <= last_seq:
             raise FormatError(
                 f"line {lineno}: seq not increasing within pattern {pid!r}"
             )
-        rows.append((seq, cell, slot))
+        last_seq = seq
+        pairs.append((cell, slot))
 
     patterns: dict[str, MobilityPattern] = {}
-    for pid, rows in groups.items():
+    for pid, pairs in groups.items():
         try:
-            patterns[pid] = make_pattern([(cell, slot) for _, cell, slot in rows])
+            patterns[pid] = MobilityPattern(pairs)
         except DomainError as exc:
             raise FormatError(f"pattern {pid!r}: {exc}") from None
     return patterns

@@ -16,7 +16,35 @@ from mobisim.clustering import ClusterAssignment, DissimilarityMatrix, resolve_m
 from mobisim.errors import DomainError
 from mobisim.graph import CellGraph
 from mobisim.measures import Weights
-from mobisim.patterns import MobilityPattern, make_pattern
+from mobisim.patterns import MobilityPattern, Point, Timestamp, make_pattern
+
+
+def brute_make_pattern(
+    pairs: Sequence[tuple[int, int]], strict: bool = False
+) -> MobilityPattern:
+    """The Point/Timestamp construction path: build a Point and a Timestamp
+    per pair, collect them all, then check emptiness, order and strictness.
+    The result is assembled without MobilityPattern's own validation."""
+    pts = tuple(Point(cell, Timestamp(t)) for cell, t in pairs)
+    if not pts:
+        raise DomainError("a pattern needs at least one point")
+    cells = tuple(p.cell for p in pts)
+    slots = tuple(p.time.index for p in pts)
+    for i in range(1, len(slots)):
+        if slots[i] < slots[i - 1]:
+            raise DomainError(
+                f"timestamps must be non-decreasing ({pts[i - 1]!r} then {pts[i]!r})"
+            )
+    if strict:
+        for i in range(2, len(slots)):
+            if slots[i - 2] == slots[i - 1] == slots[i]:
+                raise DomainError(
+                    f"more than two consecutive points share {pts[i].time!r}"
+                )
+    pattern = object.__new__(MobilityPattern)
+    pattern.cells = cells
+    pattern.slots = slots
+    return pattern
 
 
 def brute_uncommon(a: MobilityPattern, b: MobilityPattern) -> int:

@@ -208,6 +208,28 @@ class TestCvti:
             b = random_pattern(rng, 6, max_len=8)
             assert cvti(a, b) == brute_cvti(a, b)
 
+    def test_every_slot_pair_matches_minute_sets(self):
+        for ta in range(1, 12):
+            for tb in range(1, 12):
+                a, b = make_pattern([(4, ta)]), make_pattern([(4, tb)])
+                assert cvti(a, b) == brute_cvti(a, b)
+
+    def test_repeats_and_last_slot_match_minute_sets(self):
+        # Consecutive lists form the pairs.
+        cases = [
+            [(4, 10), (4, 11), (4, 11)], [(4, 11), (5, 11), (4, 11)],
+            [(1, 1), (2, 5), (1, 11)], [(1, 1), (1, 11), (1, 11)],
+            [(3, 11)], [(3, 10), (3, 11), (2, 11), (3, 11)],
+        ]
+        rng = random.Random(24)
+        for _ in range(400):
+            # Two cells and the last two slots: many repeats, many on t11.
+            slots = sorted(rng.choices((10, 11), k=rng.randint(1, 6)))
+            cases.append([(rng.randrange(2), t) for t in slots])
+        for pa, pb in zip(cases[::2], cases[1::2]):
+            a, b = make_pattern(pa), make_pattern(pb)
+            assert cvti(a, b) == cvti(b, a) == brute_cvti(a, b)
+
     @given(pattern_pairs())
     def test_symmetric_and_nonnegative(self, pair):
         a, b = pair

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mobisim import baselines, measures
 from mobisim.clustering import (
+    _DISJOINT_PAIR,
     MEASURE_TABLE,
     MEASURES,
     DissimilarityMatrix,
@@ -416,20 +417,19 @@ class TestBuildMatrixOracle:
         assert outcome(build_matrix, pats, name, None) == want
 
     @pytest.mark.parametrize(
-        "name", [n for n, spec in MEASURE_TABLE.items() if spec.disjoint is not None]
+        "name", [n for n, spec in MEASURE_TABLE.items() if spec.cell_local]
     )
     def test_disjoint_value_is_the_measures_value(self, name):
-        spec = MEASURE_TABLE[name]
         rng = random.Random(f"disjoint/{name}")
         for weights in ORACLE_WEIGHTS:
             fn = resolve_measure(name, weights=weights)
-            extra = (weights,) * spec.reads_weights
+            fill = fn(*_DISJOINT_PAIR)
             for _ in range(50):
                 # a visits cells 0..4 and b cells 5..9.
                 a = random_pattern(rng, 5, max_len=8)
                 b = random_pattern(rng, 5, max_len=8)
                 b = make_pattern([(c + 5, t) for c, t in zip(b.cells, b.slots)])
-                assert fn(a, b) == fn(b, a) == spec.disjoint(*extra)
+                assert fn(a, b) == fn(b, a) == fill
 
 
 class TestMatrixValidation:

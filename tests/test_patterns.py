@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mobisim.errors import DomainError, FormatError
 from mobisim.patterns import (
@@ -13,6 +14,7 @@ from mobisim.patterns import (
     parse_trace,
     timestamp_of_minute,
 )
+from support import brute_make_pattern
 
 
 @st.composite
@@ -133,12 +135,81 @@ class TestMakePattern:
         with pytest.raises(DomainError, match="share t3"):
             make_pattern([(1, 3), (2, 3), (3, 3)], strict=True)
 
+    def test_non_integer_cell_rejected(self):
+        # A float cell used to be stored and fail later as a list index; a
+        # str cell failed with a TypeError from `<`.
+        with pytest.raises(DomainError, match=r"^cell id 1\.5 is not an integer$"):
+            make_pattern([(1.5, 1), (2, 3)])
+        with pytest.raises(DomainError, match=r"^cell id '3' is not an integer$"):
+            make_pattern([("3", 1)])
+        with pytest.raises(DomainError, match=r"^cell id 2\.0 is not an integer$"):
+            Point(2.0, Timestamp(1))
+
+    def test_every_point_is_checked_before_the_order(self):
+        with pytest.raises(DomainError, match=r"^cell id must be non-negative, got -1$"):
+            make_pattern([(0, 5), (1, 3), (-1, 4)])
+        # Within a point the slot is checked first.
+        with pytest.raises(DomainError, match=r"^timestamp index 0 outside 1\.\.11$"):
+            make_pattern([(-1, 0)])
+
+    def test_integer_like_values_are_stored_as_int(self):
+        p = make_pattern([(np.int64(2), np.int64(3))])
+        assert p.cells == (2,) and p.slots == (3,)
+        assert type(p.cells[0]) is int and type(p.slots[0]) is int
+
     def test_equality_and_hash(self):
         a = make_pattern([(1, 1), (2, 2)])
         b = make_pattern([(1, 1), (2, 2)])
         assert a == b
         assert hash(a) == hash(b)
         assert a != make_pattern([(1, 1), (2, 3)])
+
+
+def construction_outcome(build, pairs, strict):
+    """The built pattern, or the type and text of the error raised."""
+    try:
+        return build(pairs, strict=strict)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Cells are ints only: the constructor rejects a non-integer cell, which the
+# Point/Timestamp path stored.
+any_slot = st.one_of(
+    st.integers(0, 12),
+    st.sampled_from([2.0, 1.5, "3", None, float("nan")]),
+)
+
+
+@st.composite
+def pair_lists(draw):
+    """Pair lists that reach each check: bad cells and slots anywhere,
+    unordered slots, and equal-slot runs of three."""
+    cells = st.integers(-2, 6)
+    if draw(st.booleans()):
+        return draw(st.lists(st.tuples(cells, any_slot), max_size=8))
+    # Sorted slots from a narrow range make long equal runs, and one swap
+    # may break the order.
+    lo = draw(st.integers(1, 10))
+    slots = sorted(draw(st.lists(st.integers(lo, lo + 1), max_size=8)))
+    if len(slots) > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, len(slots) - 1))
+        slots[i - 1], slots[i] = slots[i], slots[i - 1]
+    return [(draw(cells), t) for t in slots]
+
+
+class TestConstructionOracle:
+    @given(pair_lists(), st.booleans())
+    @example([(0, 5), (1, 3), (-1, 4)], False)
+    @example([(0, 5), (1, 3), (1, 0)], False)
+    @example([(1, 3), (2, 3), (3, 3)], True)
+    @example([(1, 3), (2, 3), (3, 3)], False)
+    @example([(1, 11), (2, 11)], True)
+    @example([], True)
+    def test_matches_point_timestamp_path(self, pairs, strict):
+        want = construction_outcome(brute_make_pattern, pairs, strict)
+        assert construction_outcome(make_pattern, pairs, strict) == want
+        assert construction_outcome(MobilityPattern, pairs, strict) == want
 
 
 class TestSubpattern:
@@ -164,7 +235,7 @@ class TestSubpattern:
         idx = data.draw(
             st.lists(st.integers(0, len(p) - 1), min_size=1, unique=True).map(sorted)
         )
-        sub = MobilityPattern(p[i] for i in idx)
+        sub = MobilityPattern((p.cells[i], p.slots[i]) for i in idx)
         assert is_subpattern(sub, p)
         assert len(sub) <= len(p)
 
