@@ -32,15 +32,13 @@ from .measures import (
     weighted_dissimilarity,
 )
 from .patterns import (
-    TIMESTAMPS,
     MobilityPattern,
-    Point,
-    Timestamp,
     is_subpattern,
     load_trace,
     make_pattern,
     parse_trace,
     save_trace,
+    slot_minutes,
     timestamp_of_minute,
 )
 
@@ -55,9 +53,6 @@ __all__ = [
     "GraphNotConnectedError",
     "MEASURES",
     "MobilityPattern",
-    "Point",
-    "TIMESTAMPS",
-    "Timestamp",
     "Weights",
     "build_matrix",
     "cvti",
@@ -76,6 +71,7 @@ __all__ = [
     "resolve_measure",
     "save_graph",
     "save_trace",
+    "slot_minutes",
     "spatial_dissimilarity",
     "temporal_dissimilarity",
     "tiakas_net",

@@ -14,15 +14,15 @@ import math
 from .errors import DomainError
 from .graph import CellGraph
 from .measures import DEFAULT_WEIGHTS, Weights, uncommon_cell_count
-from .patterns import TIMESTAMPS, MobilityPattern
+from .patterns import SLOT_COUNT, MobilityPattern, slot_minutes
 
 
 def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> float:
     """Network distance: mean per-position hop distance scaled by diameter.
 
-    Defined only for patterns of equal length. Each position contributes 0
-    when both patterns sit on the same cell, otherwise the hop distance
-    between the two cells divided by the graph diameter.
+    Defined only for patterns of equal length whose cells are all in the
+    graph. Each position contributes the hop distance between the two cells
+    divided by the graph diameter, and 0 when both sit on the same cell.
     """
     if len(a) != len(b):
         raise DomainError(
@@ -31,9 +31,11 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
     dia = graph.diameter()
     terms = []
     for va, vb in zip(a.cells, b.cells):
-        # Hop distance is symmetric on the undirected graph. The va == vb
-        # branch also keeps a one-cell graph (diameter 0) from dividing by 0.
-        terms.append(0.0 if va == vb else graph.hop_distance(va, vb) / dia)
+        # Every cell is looked up, even where both patterns sit on it. Hop
+        # distance is symmetric on the undirected graph, and 0 hops is 0.0,
+        # so a one-cell graph (diameter 0) never divides by 0.
+        hops = graph.hop_distance(va, vb)
+        terms.append(hops / dia if hops else 0.0)
     return math.fsum(terms) / len(terms)
 
 
@@ -112,10 +114,10 @@ def lcss(a: MobilityPattern, b: MobilityPattern) -> int:
 
 
 # Minutes shared by the closed intervals of slots i + 1 and j + 1.
+_BOUNDS = [slot_minutes(t) for t in range(1, SLOT_COUNT + 1)]
 _SLOT_OVERLAP = [
-    [max(0, min(s.end_minute, t.end_minute) - max(s.start_minute, t.start_minute) + 1)
-     for t in TIMESTAMPS]
-    for s in TIMESTAMPS
+    [max(0, min(ea, eb) - max(sa, sb) + 1) for sb, eb in _BOUNDS]
+    for sa, ea in _BOUNDS
 ]
 
 

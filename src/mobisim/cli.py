@@ -183,11 +183,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     if out:
         try:
-            print(out)
+            # Text that already ends in a newline (matrix, gen) goes out as it
+            # is, so stdout holds the same bytes as an --out file. print's
+            # own newline is a second write, which raises BrokenPipeError on
+            # a closed pipe; a single large write can fail part way silently.
+            print(out.removesuffix("\n"))
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader closed the pipe early (`mobisim matrix ... | head`).
-            # Point stdout at devnull so the flush at exit cannot raise again.
+            # Send stdout to devnull so the flush at exit cannot raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             return 1

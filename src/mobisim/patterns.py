@@ -1,11 +1,12 @@
-"""Discretized timestamps, points, and mobility patterns.
+"""Time slots and mobility patterns.
 
 A day is split into eleven 135-minute slots t1..t11 (the last slot is cut
-short by midnight and spans 90 minutes). All timestamp arithmetic in the
-measures uses the ordinal slot index, so t3 - t1 = 2 and max(t3, t1) = 3.
+short by midnight and spans 90 minutes); `slot_minutes` gives a slot's
+minutes. All timestamp arithmetic in the measures uses the ordinal slot
+index, so t3 - t1 = 2 and max(t3, t1) = 3.
 
-A mobility pattern is a non-empty sequence of (cell, timestamp) points with
-non-decreasing timestamps, held as two int tuples: cell ids and slot indices.
+A mobility pattern is a non-empty sequence of (cell, slot) points with
+non-decreasing slots, held as two int tuples: cell ids and slot indices.
 Cells may repeat; equality of points is pairwise equality of cell and
 timestamp.
 """
@@ -13,8 +14,7 @@ timestamp.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, FormatError, read_text
 
@@ -23,79 +23,44 @@ SLOT_COUNT = 11
 DAY_MINUTES = 1440
 
 
-# The one check of a slot index and of a cell id: each returns its argument
-# as an int or raises DomainError. Timestamp and Point share them.
-def _check_slot(index: int) -> int:
+def _as_int(value: object, name: str) -> int:
     try:
-        slot = operator.index(index)
+        return operator.index(value)
     except TypeError:
-        raise DomainError(f"timestamp index {index!r} is not an integer") from None
+        raise DomainError(f"{name} {value!r} is not an integer") from None
+
+
+# The one check of a slot index and of a cell id: each returns its argument
+# as an int or raises DomainError.
+def _check_slot(index: int) -> int:
+    slot = _as_int(index, "timestamp index")
     if not 1 <= slot <= SLOT_COUNT:
         raise DomainError(f"timestamp index {index} outside 1..{SLOT_COUNT}")
     return slot
 
 
 def _check_cell(cell: int) -> int:
-    try:
-        cell_id = operator.index(cell)
-    except TypeError:
-        raise DomainError(f"cell id {cell!r} is not an integer") from None
+    cell_id = _as_int(cell, "cell id")
     if cell_id < 0:
         raise DomainError(f"cell id must be non-negative, got {cell}")
     return cell_id
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
-    """Ordinal time-of-day slot, index 1..11."""
+def slot_minutes(slot: int) -> tuple[int, int]:
+    """The closed interval (start, end) of minutes of the day in a slot.
 
-    index: int
-
-    def __post_init__(self) -> None:
-        _check_slot(self.index)
-
-    @property
-    def start_minute(self) -> int:
-        return SLOT_MINUTES * (self.index - 1)
-
-    @property
-    def end_minute(self) -> int:
-        # Slot 11 would run past midnight; it is truncated to 23:59.
-        return min(SLOT_MINUTES * self.index, DAY_MINUTES) - 1
-
-    @property
-    def span_minutes(self) -> int:
-        return self.end_minute - self.start_minute + 1
-
-    def __int__(self) -> int:
-        return self.index
-
-    def __repr__(self) -> str:
-        return f"t{self.index}"
+    Slot 11 would run past midnight, so it is cut short at 23:59.
+    """
+    slot = _check_slot(slot)
+    return SLOT_MINUTES * (slot - 1), min(SLOT_MINUTES * slot, DAY_MINUTES) - 1
 
 
-TIMESTAMPS: tuple[Timestamp, ...] = tuple(Timestamp(k) for k in range(1, SLOT_COUNT + 1))
-
-
-def timestamp_of_minute(minute: int) -> Timestamp:
+def timestamp_of_minute(minute: int) -> int:
     """The slot whose interval contains the given minute of the day."""
-    if not 0 <= minute < DAY_MINUTES:
+    m = _as_int(minute, "minute")
+    if not 0 <= m < DAY_MINUTES:
         raise DomainError(f"minute {minute} outside 0..{DAY_MINUTES - 1}")
-    return TIMESTAMPS[minute // SLOT_MINUTES]
-
-
-@dataclass(frozen=True)
-class Point:
-    """A cell visited at a timestamp."""
-
-    cell: int
-    time: Timestamp
-
-    def __post_init__(self) -> None:
-        _check_cell(self.cell)
-
-    def __repr__(self) -> str:
-        return f"({self.cell},{self.time!r})"
+    return m // SLOT_MINUTES + 1
 
 
 class MobilityPattern:
@@ -103,9 +68,8 @@ class MobilityPattern:
 
     Built from (cell id, timestamp index) int pairs, which are validated
     here and stored as two int tuples, `cells` and `slots`; that is all the
-    measures read. `points`, iteration and indexing build `Point` views on
-    demand. str() gives the points as `<(cell,tN) ...>`, and repr() adds
-    the word "pattern".
+    measures read. str() gives the points as `<(cell,tN) ...>`, and repr()
+    adds the word "pattern".
 
     With strict=True, at most two consecutive points may share a timestamp;
     by default any non-decreasing run is accepted.
@@ -134,20 +98,8 @@ class MobilityPattern:
         self.cells = cells
         self.slots = slots
 
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(
-            Point(c, TIMESTAMPS[t - 1]) for c, t in zip(self.cells, self.slots)
-        )
-
     def __len__(self) -> int:
         return len(self.cells)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
-
-    def __getitem__(self, i: int) -> Point:
-        return self.points[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MobilityPattern):

@@ -16,44 +16,57 @@ from mobisim.clustering import ClusterAssignment, DissimilarityMatrix, resolve_m
 from mobisim.errors import DomainError
 from mobisim.graph import CellGraph
 from mobisim.measures import Weights
-from mobisim.patterns import MobilityPattern, Point, Timestamp, make_pattern
+from mobisim.patterns import MobilityPattern
+
+
+def _integer(value, name: str) -> int:
+    if not hasattr(type(value), "__index__"):
+        raise DomainError(f"{name} {value!r} is not an integer")
+    return type(value).__index__(value)
 
 
 def brute_make_pattern(
     pairs: Sequence[tuple[int, int]], strict: bool = False
 ) -> MobilityPattern:
-    """The Point/Timestamp construction path: build a Point and a Timestamp
-    per pair, collect them all, then check emptiness, order and strictness.
-    The result is assembled without MobilityPattern's own validation."""
-    pts = tuple(Point(cell, Timestamp(t)) for cell, t in pairs)
-    if not pts:
+    """The construction rules, checked one by one: for each pair the slot
+    (an integer in 1..11), then the cell (a non-negative integer); then
+    emptiness, order and strictness. The result is assembled without
+    MobilityPattern's own validation."""
+    cells, slots = [], []
+    for cell, t in pairs:
+        slot = _integer(t, "timestamp index")
+        if slot < 1 or slot > 11:
+            raise DomainError(f"timestamp index {t} outside 1..11")
+        cell_id = _integer(cell, "cell id")
+        if cell_id < 0:
+            raise DomainError(f"cell id must be non-negative, got {cell}")
+        cells.append(cell_id)
+        slots.append(slot)
+    if not cells:
         raise DomainError("a pattern needs at least one point")
-    cells = tuple(p.cell for p in pts)
-    slots = tuple(p.time.index for p in pts)
     for i in range(1, len(slots)):
         if slots[i] < slots[i - 1]:
             raise DomainError(
-                f"timestamps must be non-decreasing ({pts[i - 1]!r} then {pts[i]!r})"
+                "timestamps must be non-decreasing "
+                f"(({cells[i - 1]},t{slots[i - 1]}) then ({cells[i]},t{slots[i]}))"
             )
     if strict:
         for i in range(2, len(slots)):
             if slots[i - 2] == slots[i - 1] == slots[i]:
-                raise DomainError(
-                    f"more than two consecutive points share {pts[i].time!r}"
-                )
+                raise DomainError(f"more than two consecutive points share t{slots[i]}")
     pattern = object.__new__(MobilityPattern)
-    pattern.cells = cells
-    pattern.slots = slots
+    pattern.cells = tuple(cells)
+    pattern.slots = tuple(slots)
     return pattern
 
 
 def brute_uncommon(a: MobilityPattern, b: MobilityPattern) -> int:
     count = 0
-    for pa in a:
-        if all(pa.cell != pb.cell for pb in b):
+    for ca in a.cells:
+        if all(ca != cb for cb in b.cells):
             count += 1
-    for pb in b:
-        if all(pb.cell != pa.cell for pa in a):
+    for cb in b.cells:
+        if all(cb != ca for ca in a.cells):
             count += 1
     return count
 
@@ -65,10 +78,9 @@ def brute_d_space(a: MobilityPattern, b: MobilityPattern) -> float:
 def brute_d_time(a: MobilityPattern, b: MobilityPattern) -> float:
     total = 0.0
     k = 0
-    for pa in a:
-        for pb in b:
-            if pa.cell == pb.cell:
-                ta, tb = pa.time.index, pb.time.index
+    for ca, ta in zip(a.cells, a.slots):
+        for cb, tb in zip(b.cells, b.slots):
+            if ca == cb:
                 total += abs(ta - tb) / max(ta, tb)
                 k += 1
     return total / k if k else 1.0
@@ -91,14 +103,18 @@ def brute_lcss(a: MobilityPattern, b: MobilityPattern) -> int:
 
 
 def brute_cvti(a: MobilityPattern, b: MobilityPattern) -> int:
-    """Overlap via explicit minute sets instead of interval arithmetic."""
+    """Overlap via explicit minute sets instead of interval arithmetic.
+
+    Slot t covers minutes 135·(t−1) … min(135·t, 1440) − 1 of the day."""
+
+    def minutes(t: int) -> set[int]:
+        return set(range(135 * (t - 1), min(135 * t, 1440)))
+
     total = 0
-    for pa in a:
-        for pb in b:
-            if pa.cell == pb.cell:
-                mins_a = set(range(pa.time.start_minute, pa.time.end_minute + 1))
-                mins_b = set(range(pb.time.start_minute, pb.time.end_minute + 1))
-                total += len(mins_a & mins_b)
+    for ca, ta in zip(a.cells, a.slots):
+        for cb, tb in zip(b.cells, b.slots):
+            if ca == cb:
+                total += len(minutes(ta) & minutes(tb))
     return total
 
 
@@ -118,16 +134,16 @@ def random_pattern(
 ) -> MobilityPattern:
     length = rng.randint(min_len, max_len)
     slots = sorted(rng.randint(1, 11) for _ in range(length))
-    return make_pattern([(rng.randrange(n_cells), t) for t in slots])
+    return MobilityPattern([(rng.randrange(n_cells), t) for t in slots])
 
 
 def has_repeat_at_distinct_slots(p: MobilityPattern) -> bool:
     """True when some cell is revisited at two different timestamps."""
     seen: dict[int, int] = {}
-    for pt in p:
-        if pt.cell in seen and seen[pt.cell] != pt.time.index:
+    for cell, slot in zip(p.cells, p.slots):
+        if cell in seen and seen[cell] != slot:
             return True
-        seen.setdefault(pt.cell, pt.time.index)
+        seen.setdefault(cell, slot)
     return False
 
 

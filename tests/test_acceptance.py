@@ -172,8 +172,8 @@ def test_criterion_4_property_suite_10000_pairs():
 
             shared = set(a.cells) & set(b.cells)
             moved = [
-                (pt.cell, pt.time.index if pt.cell in shared else rng.randint(1, 11))
-                for pt in a
+                (c, t if c in shared else rng.randint(1, 11))
+                for c, t in zip(a.cells, a.slots)
             ]
             moved.sort(key=lambda cs: cs[1])
             assert measures.temporal_dissimilarity(make_pattern(moved), b) == d_t

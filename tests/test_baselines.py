@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from mobisim.baselines import (
     tiakas_total,
 )
 from mobisim.errors import DomainError
-from mobisim.graph import example_graph
+from mobisim.graph import CellGraph, example_graph
 from mobisim.measures import Weights
 from mobisim.patterns import make_pattern
 from support import brute_cvti, brute_lcss, random_connected_graph, random_pattern
@@ -66,6 +67,22 @@ class TestTiakas:
         g = example_graph()
         p = make_pattern([(0, 1), (5, 3), (11, 7)])
         assert tiakas_net(p, p, g) == 0.0
+
+    def test_cells_outside_graph_rejected(self):
+        # Both patterns on the same cell used to skip the lookup and score 0.
+        path = CellGraph(3, [(0, 1), (1, 2)])
+        p = make_pattern([(999, 1), (998, 2)])
+        for fn in (tiakas_net, tiakas_total):
+            with pytest.raises(
+                DomainError, match=r"^cell id 999 out of range for graph with 3 cells$"
+            ):
+                fn(p, p, path)
+        with pytest.raises(DomainError, match="cell id 3 out of range"):
+            tiakas_net(make_pattern([(0, 1), (3, 2)]), make_pattern([(0, 1), (3, 2)]), path)
+
+    def test_one_cell_graph_never_divides_by_zero(self):
+        p = make_pattern([(0, 1), (0, 4)])
+        assert tiakas_net(p, p, CellGraph(1)) == 0.0
 
     def test_both_steps_instant(self):
         # equal timestamps on both sides: the 0/0 step counts as agreement
@@ -246,3 +263,19 @@ def test_tiakas_net_scales_with_any_graph():
         b = random_pattern(rng, n, min_len=3, max_len=3)
         v = tiakas_net(a, b, g)
         assert 0.0 <= v <= 1.0
+
+
+def test_tiakas_net_matches_per_position_definition():
+    # 0 on a shared cell, otherwise hops over the diameter, summed with fsum.
+    rng = random.Random(31)
+    for _ in range(50):
+        g = random_connected_graph(rng, 2, 10)
+        length = rng.randint(1, 8)
+        a = random_pattern(rng, g.vertex_count, min_len=length, max_len=length)
+        b = random_pattern(rng, g.vertex_count, min_len=length, max_len=length)
+        for x, y in ((a, b), (a, a)):
+            terms = [
+                0.0 if ca == cb else g.hop_distance(ca, cb) / g.diameter()
+                for ca, cb in zip(x.cells, y.cells)
+            ]
+            assert tiakas_net(x, y, g) == math.fsum(terms) / length

@@ -14,7 +14,7 @@ from mobisim import cli
 from mobisim.casestudy import SA, SB
 from mobisim.cli import main
 from mobisim.clustering import DissimilarityMatrix, build_matrix
-from mobisim.graph import example_graph, save_graph
+from mobisim.graph import CellGraph, example_graph, save_graph
 from mobisim.measures import weighted_dissimilarity
 from mobisim.patterns import load_trace, make_pattern, save_trace
 
@@ -31,6 +31,16 @@ def graph_path(tmp_path):
     path = tmp_path / "graph.txt"
     save_graph(example_graph(), str(path))
     return str(path)
+
+
+@pytest.fixture
+def off_graph(tmp_path):
+    """A 3-cell path graph and a trace whose one pattern lies off it."""
+    graph = tmp_path / "path.txt"
+    save_graph(CellGraph(3, [(0, 1), (1, 2)]), str(graph))
+    trace = tmp_path / "off.csv"
+    save_trace({"p0": make_pattern([(999, 1), (998, 2)])}, str(trace))
+    return str(graph), str(trace)
 
 
 def per_value_text(m: DissimilarityMatrix) -> str:
@@ -81,6 +91,17 @@ class TestDist:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("measure", ["tiakas-net", "tiakas-total"])
+    def test_cells_outside_graph(self, capsys, off_graph, measure):
+        graph, trace = off_graph
+        code, out, err = run_cli(
+            capsys, "dist", "p0", "p0", "--trace", trace,
+            "--measure", measure, "--graph", graph,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: cell id 999 out of range for graph with 3 cells\n"
 
     def test_unknown_id(self, capsys, trace_path):
         code, _, err = run_cli(capsys, "dist", "Sa", "Zz", "--trace", trace_path)
@@ -220,7 +241,7 @@ class TestMatrix:
             assert m.values.max() >= 1.0
         code, out, _ = run_cli(capsys, "matrix", "--trace", str(gen_path), "--measure", measure)
         assert code == 0
-        assert out == per_value_text(m) + "\n"
+        assert out == per_value_text(m)
 
     def test_signed_zero_text(self, capsys, monkeypatch, trace_path):
         values = np.array([[-0.0, 0.0, -1e-9], [135.0, 1e-7, 2.5e-7], [0.1234565, 999999.9999995, 7.0]])
@@ -228,8 +249,28 @@ class TestMatrix:
         monkeypatch.setattr(cli, "_matrix", lambda args: m)
         code, out, _ = run_cli(capsys, "matrix", "--trace", trace_path)
         assert code == 0
-        assert out == per_value_text(m) + "\n"
+        assert out == per_value_text(m)
         assert out.splitlines()[1] == "a,-0.000000,0.000000,-0.000000"
+
+    def test_stdout_equals_out_file(self, capsys, trace_path, tmp_path):
+        out_path = tmp_path / "m.csv"
+        code, _, _ = run_cli(capsys, "matrix", "--trace", trace_path, "--out", str(out_path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "matrix", "--trace", trace_path)
+        assert code == 0
+        assert out.encode() == out_path.read_bytes()
+        assert out.endswith("0.000000\n")
+
+    @pytest.mark.parametrize("measure", ["tiakas-net", "tiakas-total"])
+    def test_cells_outside_graph(self, capsys, off_graph, measure):
+        graph, trace = off_graph
+        code, out, err = run_cli(
+            capsys, "matrix", "--trace", trace, "--measure", measure, "--graph", graph
+        )
+        assert code == 3
+        assert out == ""
+        assert "'p0' and 'p0'" in err
+        assert "cell id 999 out of range for graph with 3 cells" in err
 
     def test_errors_name_pattern_ids(self, capsys, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -283,6 +324,17 @@ class TestCluster:
             )
             assert code == 3
             assert "similarity" in err
+
+    @pytest.mark.parametrize("measure", ["tiakas-net", "tiakas-total"])
+    def test_cells_outside_graph(self, capsys, off_graph, measure):
+        graph, trace = off_graph
+        code, out, err = run_cli(
+            capsys, "cluster", "--trace", trace, "--k", "1",
+            "--measure", measure, "--graph", graph,
+        )
+        assert code == 3
+        assert out == ""
+        assert "cell id 999 out of range for graph with 3 cells" in err
 
     def test_k_too_large(self, capsys, trace_path):
         code, _, err = run_cli(capsys, "cluster", "--trace", trace_path, "--k", "3")
@@ -352,6 +404,16 @@ class TestGen:
         resaved = tmp_path / "again.csv"
         save_trace(patterns, str(resaved))
         assert resaved.read_bytes() == path.read_bytes()
+
+    def test_stdout_equals_out_file(self, capsys, graph_path, tmp_path):
+        argv = ["gen", "--graph", graph_path, "--count", "2", "--seed", "3"]
+        out_path = tmp_path / "g.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode() == out_path.read_bytes()
+        assert not out.endswith("\n\n")
 
     def test_ids_widen_past_9999(self, capsys, graph_path, tmp_path):
         path = tmp_path / "many.csv"

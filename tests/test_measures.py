@@ -166,8 +166,8 @@ class TestInvariance:
                 continue
             # re-slot the unshared points arbitrarily, keep shared ones fixed
             pairs = [
-                (pt.cell, pt.time.index if pt.cell in shared else rng.randint(1, 11))
-                for pt in a
+                (c, t if c in shared else rng.randint(1, 11))
+                for c, t in zip(a.cells, a.slots)
             ]
             pairs.sort(key=lambda cs: cs[1])
             a2 = make_pattern(pairs)

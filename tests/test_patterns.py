@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import mobisim
 from mobisim.errors import DomainError, FormatError
 from mobisim.patterns import (
-    TIMESTAMPS,
     MobilityPattern,
-    Point,
-    Timestamp,
     format_trace,
     is_subpattern,
     make_pattern,
     parse_trace,
+    slot_minutes,
     timestamp_of_minute,
 )
 from support import brute_make_pattern
@@ -29,53 +28,63 @@ def patterns(draw, n_cells=12, min_len=1, max_len=8):
     return make_pattern(list(zip(cells, slots)))
 
 
-class TestTimestamp:
+class TestSlots:
     def test_slot_boundaries(self):
-        assert Timestamp(1).start_minute == 0
-        assert Timestamp(1).end_minute == 134
-        assert Timestamp(2).start_minute == 135
-        assert Timestamp(10).end_minute == 1349
-        assert Timestamp(11).start_minute == 1350
-        assert Timestamp(11).end_minute == 1439
+        assert slot_minutes(1) == (0, 134)
+        assert slot_minutes(2)[0] == 135
+        assert slot_minutes(10)[1] == 1349
+        assert slot_minutes(11) == (1350, 1439)
 
     def test_spans(self):
-        for ts in TIMESTAMPS[:-1]:
-            assert ts.span_minutes == 135
-        assert TIMESTAMPS[-1].span_minutes == 90
-
-    def test_ordinal_arithmetic(self):
-        assert int(Timestamp(3)) - int(Timestamp(1)) == 2
-        assert max(Timestamp(3), Timestamp(1)) == Timestamp(3)
+        for slot in range(1, 11):
+            start, end = slot_minutes(slot)
+            assert end - start + 1 == 135
+        start, end = slot_minutes(11)
+        assert end - start + 1 == 90
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            Timestamp(0)
-        with pytest.raises(DomainError):
-            Timestamp(12)
+        for slot in (0, 12):
+            with pytest.raises(DomainError, match=r"outside 1\.\.11"):
+                slot_minutes(slot)
 
     def test_non_integer_rejected(self):
-        # Views index TIMESTAMPS by slot, so a slot must be an integer.
-        for index in (1.5, 2.0, "3"):
+        for slot in (1.5, 2.0, "3", None):
             with pytest.raises(DomainError, match="not an integer"):
-                Timestamp(index)
+                slot_minutes(slot)
 
     def test_minute_lookup(self):
-        assert timestamp_of_minute(0) == Timestamp(1)
-        assert timestamp_of_minute(134) == Timestamp(1)
-        assert timestamp_of_minute(135) == Timestamp(2)
-        assert timestamp_of_minute(1439) == Timestamp(11)
+        assert timestamp_of_minute(0) == 1
+        assert timestamp_of_minute(134) == 1
+        assert timestamp_of_minute(135) == 2
+        assert timestamp_of_minute(1439) == 11
+        assert type(timestamp_of_minute(np.int64(135))) is int
 
-    def test_minute_lookup_bounds(self):
-        with pytest.raises(DomainError):
-            timestamp_of_minute(-1)
-        with pytest.raises(DomainError):
-            timestamp_of_minute(1440)
+    def test_minute_lookup_rejects_bad_minutes(self):
+        for minute in (-1, 1440):
+            with pytest.raises(DomainError, match=r"outside 0\.\.1439"):
+                timestamp_of_minute(minute)
+        # A non-integer minute used to fail with a bare TypeError.
+        for minute in (134.5, "3", None):
+            with pytest.raises(DomainError, match="not an integer"):
+                timestamp_of_minute(minute)
 
     def test_slots_partition_the_day(self):
+        covered = []
+        for slot in range(1, 12):
+            start, end = slot_minutes(slot)
+            covered.extend(range(start, end + 1))
+        assert covered == list(range(1440))
+
+    def test_minute_lookup_agrees_with_bounds(self):
         for minute in range(1440):
-            ts = timestamp_of_minute(minute)
-            assert ts.start_minute <= minute <= ts.end_minute
-        assert sum(ts.span_minutes for ts in TIMESTAMPS) == 1440
+            start, end = slot_minutes(timestamp_of_minute(minute))
+            assert start <= minute <= end
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from mobisim import *", namespace)
+    assert set(mobisim.__all__) <= namespace.keys()
 
 
 class TestMakePattern:
@@ -122,10 +131,7 @@ class TestMakePattern:
         p = make_pattern([(1, 1), (2, 11)])
         assert MobilityPattern.__slots__ == ("cells", "slots")
         assert not hasattr(p, "__dict__")
-        assert p.points == (Point(1, Timestamp(1)), Point(2, Timestamp(11)))
-        assert p[1].time is TIMESTAMPS[10]
-        assert p[-1] == p.points[-1] and p[:1] == p.points[:1]
-        assert list(p) == list(p.points)
+        assert list(zip(p.cells, p.slots)) == [(1, 1), (2, 11)]
         assert repr(p) == "<pattern (1,t1) (2,t11)>"
         assert str(p) == "<(1,t1) (2,t11)>"
 
@@ -143,7 +149,7 @@ class TestMakePattern:
         with pytest.raises(DomainError, match=r"^cell id '3' is not an integer$"):
             make_pattern([("3", 1)])
         with pytest.raises(DomainError, match=r"^cell id 2\.0 is not an integer$"):
-            Point(2.0, Timestamp(1))
+            MobilityPattern([(2.0, 1)])
 
     def test_every_point_is_checked_before_the_order(self):
         with pytest.raises(DomainError, match=r"^cell id must be non-negative, got -1$"):
@@ -173,21 +179,17 @@ def construction_outcome(build, pairs, strict):
         return type(exc), str(exc)
 
 
-# Cells are ints only: the constructor rejects a non-integer cell, which the
-# Point/Timestamp path stored.
-any_slot = st.one_of(
-    st.integers(0, 12),
-    st.sampled_from([2.0, 1.5, "3", None, float("nan")]),
-)
+not_an_int = st.sampled_from([2.0, 1.5, "3", None, float("nan")])
+any_slot = st.one_of(st.integers(0, 12), not_an_int)
+any_cell = st.one_of(st.integers(-2, 6), not_an_int)
 
 
 @st.composite
 def pair_lists(draw):
     """Pair lists that reach each check: bad cells and slots anywhere,
     unordered slots, and equal-slot runs of three."""
-    cells = st.integers(-2, 6)
     if draw(st.booleans()):
-        return draw(st.lists(st.tuples(cells, any_slot), max_size=8))
+        return draw(st.lists(st.tuples(any_cell, any_slot), max_size=8))
     # Sorted slots from a narrow range make long equal runs, and one swap
     # may break the order.
     lo = draw(st.integers(1, 10))
@@ -195,7 +197,7 @@ def pair_lists(draw):
     if len(slots) > 1 and draw(st.booleans()):
         i = draw(st.integers(1, len(slots) - 1))
         slots[i - 1], slots[i] = slots[i], slots[i - 1]
-    return [(draw(cells), t) for t in slots]
+    return [(draw(st.integers(-2, 6)), t) for t in slots]
 
 
 class TestConstructionOracle:
@@ -205,6 +207,8 @@ class TestConstructionOracle:
     @example([(1, 3), (2, 3), (3, 3)], True)
     @example([(1, 3), (2, 3), (3, 3)], False)
     @example([(1, 11), (2, 11)], True)
+    @example([(1.5, 1), (2, 3)], False)
+    @example([("3", 0)], False)
     @example([], True)
     def test_matches_point_timestamp_path(self, pairs, strict):
         want = construction_outcome(brute_make_pattern, pairs, strict)
@@ -294,6 +298,3 @@ class TestTraceFormat:
         text = "pattern_id,seq,cell,timestamp_index\na,0,1,5\na,1,2,3\n"
         with pytest.raises(FormatError):
             parse_trace(text)
-
-    def test_point_repr_is_compact(self):
-        assert repr(Point(3, Timestamp(7))) == "(3,t7)"
