@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: dist, matrix, cluster, casestudy, gen. Exit codes: 0 on
-success, 2 for usage errors (argparse), 3 for data or precondition errors.
+Subcommands: dist, matrix, cluster, casestudy, gen. Each returns its full
+stdout text, ending in a newline, or "" when it wrote an --out file.
+Exit codes: 0 on success, 2 for usage errors (argparse), 3 for data or
+precondition errors.
 """
 
 from __future__ import annotations
@@ -12,31 +14,22 @@ import random
 import sys
 
 from . import casestudy
-from .clustering import (
-    MEASURE_TABLE,
-    MEASURES,
-    DissimilarityMatrix,
-    build_matrix,
-    kmedoids,
-    resolve_measure,
-)
+from .clustering import MEASURE_TABLE, MEASURES, DissimilarityMatrix, build_matrix
+from .clustering import kmedoids, pair_failed, resolve_measure
 from .errors import DomainError
 from .graph import CellGraph, load_graph
 from .measures import Weights
 from .patterns import MobilityPattern, format_trace, load_trace
 
 
-def _weights(args: argparse.Namespace) -> Weights | None:
-    if MEASURE_TABLE[args.measure].reads_weights:
-        return Weights(args.wspace, args.wtime)
-    return None
-
-
-def _graph(args: argparse.Namespace) -> CellGraph | None:
-    """The --graph file, read only for the measures that use one."""
-    if args.graph and MEASURE_TABLE[args.measure].reads_graph:
-        return load_graph(args.graph)
-    return None
+def _inputs(args: argparse.Namespace) -> tuple[dict, CellGraph | None, Weights | None]:
+    """(patterns, graph, weights): weights are made first, then --trace and
+    --graph are read; graph and weights are None unless the measure reads them."""
+    spec = MEASURE_TABLE[args.measure]
+    weights = Weights(args.wspace, args.wtime) if spec.reads_weights else None
+    patterns = load_trace(args.trace)
+    graph = load_graph(args.graph) if args.graph and spec.reads_graph else None
+    return patterns, graph, weights
 
 
 def _emit(text: str, out_path: str | None) -> str:
@@ -49,26 +42,22 @@ def _emit(text: str, out_path: str | None) -> str:
 
 
 def cmd_dist(args: argparse.Namespace) -> str:
-    weights = _weights(args)
-    patterns = load_trace(args.trace)
+    patterns, graph, weights = _inputs(args)
     for pid in (args.id_a, args.id_b):
         if pid not in patterns:
             raise DomainError(f"pattern id {pid!r} not in trace")
-    fn = resolve_measure(args.measure, graph=_graph(args), weights=weights)
-    return f"{fn(patterns[args.id_a], patterns[args.id_b]):.6f}"
+    fn = resolve_measure(args.measure, graph=graph, weights=weights)
+    try:
+        value = fn(patterns[args.id_a], patterns[args.id_b])
+    except DomainError as exc:
+        raise pair_failed(args.measure, args.id_a, args.id_b, exc) from exc
+    return f"{value:.6f}\n"
 
 
 def _matrix(args: argparse.Namespace) -> DissimilarityMatrix:
     """The measure's matrix over the --trace file, rows in file order."""
-    weights = _weights(args)
-    patterns = load_trace(args.trace)
-    return build_matrix(
-        list(patterns.values()),
-        args.measure,
-        graph=_graph(args),
-        weights=weights,
-        ids=list(patterns),
-    )
+    patterns, graph, weights = _inputs(args)
+    return build_matrix(list(patterns.values()), args.measure, graph, weights, list(patterns))
 
 
 def cmd_matrix(args: argparse.Namespace) -> str:
@@ -84,23 +73,16 @@ def cmd_matrix(args: argparse.Namespace) -> str:
 
 def cmd_cluster(args: argparse.Namespace) -> str:
     if MEASURE_TABLE[args.measure].similarity:
-        raise DomainError(
-            f"measure {args.measure!r} is a similarity; "
-            "clustering needs a dissimilarity measure"
-        )
+        why = "is a similarity; clustering needs a dissimilarity measure"
+        raise DomainError(f"measure {args.measure!r} {why}")
     m = _matrix(args)
     ids = m.ids
     result = kmedoids(m, args.k, seed=args.seed)
-    lines = ["pattern_id,medoid_id"]
-    for i, pid in enumerate(ids):
-        lines.append(f"{pid},{ids[result.assignment[i]]}")
-    table = "\n".join(lines) + "\n"
-    written = _emit(table, args.out)
-    summary = (
+    rows = "".join(f"{pid},{ids[i]}\n" for pid, i in zip(ids, result.assignment))
+    return _emit("pattern_id,medoid_id\n" + rows, args.out) + (
         f"medoids: {','.join(ids[i] for i in result.medoids)}\n"
-        f"total cost = {result.total_cost:.6f}"
+        f"total cost = {result.total_cost:.6f}\n"
     )
-    return summary if not written else written.rstrip("\n") + "\n" + summary
 
 
 def cmd_gen(args: argparse.Namespace) -> str:
@@ -126,6 +108,14 @@ def cmd_gen(args: argparse.Namespace) -> str:
     return _emit(format_trace(patterns), args.out)
 
 
+MEASURE_OPTIONS = {
+    "--measure": dict(choices=MEASURES, default="composite"),
+    "--wspace": dict(type=float, default=0.5),
+    "--wtime": dict(type=float, default=0.5),
+    "--graph": dict(help="cell graph file (tiakas measures)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mobisim",
@@ -133,44 +123,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_measure_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--measure", choices=MEASURES, default="composite")
-        p.add_argument("--wspace", type=float, default=0.5)
-        p.add_argument("--wtime", type=float, default=0.5)
-        p.add_argument("--graph", help="cell graph file (tiakas measures)")
+    def command(name, help, run, options=None, measured=False) -> None:
+        """Add subcommand `name` running run(args), one argument per options
+        entry; a measured command also takes --trace and MEASURE_OPTIONS."""
+        if measured:
+            options = {"--trace": dict(required=True), **options, **MEASURE_OPTIONS}
+        p = sub.add_parser(name, help=help)
+        # Positionals first: usage errors list missing arguments in this order.
+        for flag, kwargs in sorted((options or {}).items(), key=lambda o: o[0][0] == "-"):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(run=run)
 
-    p_dist = sub.add_parser("dist", help="measure one pattern pair")
-    p_dist.add_argument("id_a")
-    p_dist.add_argument("id_b")
-    p_dist.add_argument("--trace", required=True)
-    add_measure_opts(p_dist)
-    p_dist.set_defaults(run=cmd_dist)
-
-    p_matrix = sub.add_parser("matrix", help="pairwise measure table")
-    p_matrix.add_argument("--trace", required=True)
-    p_matrix.add_argument("--out")
-    add_measure_opts(p_matrix)
-    p_matrix.set_defaults(run=cmd_matrix)
-
-    p_cluster = sub.add_parser("cluster", help="k-medoids over a trace")
-    p_cluster.add_argument("--trace", required=True)
-    p_cluster.add_argument("--k", type=int, required=True)
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument("--out")
-    add_measure_opts(p_cluster)
-    p_cluster.set_defaults(run=cmd_cluster)
-
-    p_case = sub.add_parser("casestudy", help="print the worked example report")
-    p_case.set_defaults(run=lambda args: casestudy.report())
-
-    p_gen = sub.add_parser("gen", help="generate random-walk traces")
-    p_gen.add_argument("--graph", required=True)
-    p_gen.add_argument("--count", type=int, required=True)
-    p_gen.add_argument("--min-len", type=int, default=2, dest="min_len")
-    p_gen.add_argument("--max-len", type=int, default=8, dest="max_len")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out")
-    p_gen.set_defaults(run=cmd_gen)
+    seed, count = dict(type=int, default=0), dict(type=int, required=True)
+    command("dist", "measure one pattern pair", cmd_dist, {"id_a": {}, "id_b": {}}, measured=True)
+    command("matrix", "pairwise measure table", cmd_matrix, {"--out": {}}, measured=True)
+    command("cluster", "k-medoids over a trace", cmd_cluster,
+            {"--k": count, "--seed": seed, "--out": {}}, measured=True)
+    command("casestudy", "print the worked example report", lambda _: casestudy.report() + "\n")
+    command("gen", "generate random-walk traces", cmd_gen, {
+        "--graph": dict(required=True), "--count": count,
+        "--min-len": dict(type=int, default=2), "--max-len": dict(type=int, default=8),
+        "--seed": seed, "--out": {},
+    })
     return parser
 
 
@@ -183,10 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     if out:
         try:
-            # Text that already ends in a newline (matrix, gen) goes out as it
-            # is, so stdout holds the same bytes as an --out file. print's
-            # own newline is a second write, which raises BrokenPipeError on
-            # a closed pipe; a single large write can fail part way silently.
+            # print's newline is a second write, which raises BrokenPipeError
+            # on a closed pipe; one large write can fail part way silently.
             print(out.removesuffix("\n"))
             sys.stdout.flush()
         except BrokenPipeError:

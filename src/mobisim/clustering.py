@@ -91,6 +91,13 @@ def resolve_measure(
     return lambda a, b: fn(a, b, *extra)
 
 
+def pair_failed(measure: str, id_a: object, id_b: object, exc: Exception) -> DomainError:
+    """The error for a measure that failed on one pair, naming both patterns."""
+    return DomainError(
+        f"measure {measure!r} failed for patterns {id_a!r} and {id_b!r}: {exc}"
+    )
+
+
 @dataclass(frozen=True)
 class DissimilarityMatrix:
     """Square table of pairwise measure values, rows named by ids if given."""
@@ -170,10 +177,7 @@ def build_matrix(
         try:
             found.append(fn(patterns[i], patterns[j]))
         except DomainError as exc:
-            raise DomainError(
-                f"measure {measure!r} failed for patterns "
-                f"{names[i]!r} and {names[j]!r}: {exc}"
-            ) from exc
+            raise pair_failed(measure, names[i], names[j], exc) from exc
     values[rows, cols] = found
     values[cols, rows] = found
     values.setflags(write=False)

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the text-file reader that
+"""Exception types shared across the package, and the text-file loader that
 raises them."""
+
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class DomainError(ValueError):
@@ -15,12 +19,18 @@ class GraphNotConnectedError(DomainError):
     """A query needed a path between two cells that have none."""
 
 
-def read_text(path: str) -> str:
-    """The UTF-8 contents of a file; undecodable bytes are a FormatError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-            ) from None
+def load_text(path: str, parse: Callable[[str], T]) -> T:
+    """parse() of a file's UTF-8 text, a leading byte-order mark dropped.
+
+    Undecodable bytes and every FormatError from parse() become one
+    FormatError that starts with the path.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+        return parse(text)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    except FormatError as exc:
+        reason = str(exc)
+    raise FormatError(f"{path}: {reason}") from None

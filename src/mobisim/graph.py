@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable
 
-from .errors import DomainError, FormatError, GraphNotConnectedError, read_text
+from .errors import DomainError, FormatError, GraphNotConnectedError, load_text
 
 
 class CellGraph:
@@ -152,42 +152,41 @@ def parse_graph(text: str) -> CellGraph:
     starting with `#` are ignored. Duplicate links (in either direction) and
     self-loops are rejected.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise FormatError("empty graph file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "cells":
-        raise FormatError(f"expected 'cells <N>' header, got {lines[0]!r}")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise FormatError(f"bad cell count {header[1]!r}") from None
-    if n <= 0:
-        raise FormatError("cell count must be positive")
-
+    n = 0  # the cell count, once the header line is read
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
         parts = ln.split()
+        if not n:
+            if len(parts) != 2 or parts[0] != "cells":
+                raise FormatError(f"line {lineno}: expected 'cells <N>' header, got {ln!r}")
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad cell count {parts[1]!r}") from None
+            if n <= 0:
+                raise FormatError(f"line {lineno}: cell count must be positive")
+            continue
         if len(parts) != 3 or parts[0] != "edge":
-            raise FormatError(f"expected 'edge <a> <b>', got {ln!r}")
+            raise FormatError(f"line {lineno}: expected 'edge <a> <b>', got {ln!r}")
         try:
             a, b = int(parts[1]), int(parts[2])
         except ValueError:
-            raise FormatError(f"bad edge endpoints in {ln!r}") from None
+            raise FormatError(f"line {lineno}: bad edge endpoints in {ln!r}") from None
         if a == b:
-            raise FormatError(f"self-loop on cell {a}")
+            raise FormatError(f"line {lineno}: self-loop on cell {a}")
         if not (0 <= a < n and 0 <= b < n):
-            raise FormatError(f"edge {a} {b} outside 0..{n - 1}")
+            raise FormatError(f"line {lineno}: edge {a} {b} outside 0..{n - 1}")
         key = (min(a, b), max(a, b))
         if key in seen:
-            raise FormatError(f"duplicate edge {a} {b}")
+            raise FormatError(f"line {lineno}: duplicate edge {a} {b}")
         seen.add(key)
         edges.append((a, b))
+    if not n:
+        raise FormatError("empty graph file")
     return CellGraph(n, edges)
 
 
@@ -200,7 +199,7 @@ def format_graph(g: CellGraph) -> str:
 
 
 def load_graph(path: str) -> CellGraph:
-    return parse_graph(read_text(path))
+    return load_text(path, parse_graph)
 
 
 def save_graph(g: CellGraph, path: str) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .errors import DomainError, FormatError, read_text
+from .errors import DomainError, FormatError, load_text
 
 SLOT_MINUTES = 135
 SLOT_COUNT = 11
@@ -196,7 +196,7 @@ def format_trace(patterns: dict[str, MobilityPattern]) -> str:
 
 
 def load_trace(path: str) -> dict[str, MobilityPattern]:
-    return parse_trace(read_text(path))
+    return load_text(path, parse_trace)
 
 
 def save_trace(patterns: dict[str, MobilityPattern], path: str) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import subprocess
@@ -57,6 +58,65 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+MEASURE_NAMES = (
+    "space", "time", "composite", "tiakas-net", "tiakas-time", "tiakas-total",
+    "oss", "lcss", "cvti",
+)
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, False, None, None)
+TRACE = (("--trace",), "trace", None, True, None, None)
+MEASURE_OPTS = [
+    (("--measure",), "measure", "composite", False, MEASURE_NAMES, None),
+    (("--wspace",), "wspace", 0.5, False, None, float),
+    (("--wtime",), "wtime", 0.5, False, None, float),
+    (("--graph",), "graph", None, False, None, None),
+]
+OUT = (("--out",), "out", None, False, None, None)
+SEED = (("--seed",), "seed", 0, False, None, int)
+
+# (option_strings, dest, default, required, choices, type) of every argument,
+# in the order argparse holds them.
+SURFACE = {
+    "dist": [
+        HELP,
+        ((), "id_a", None, True, None, None),
+        ((), "id_b", None, True, None, None),
+        TRACE, *MEASURE_OPTS,
+    ],
+    "matrix": [HELP, TRACE, OUT, *MEASURE_OPTS],
+    "cluster": [
+        HELP, TRACE, (("--k",), "k", None, True, None, int), SEED, OUT, *MEASURE_OPTS,
+    ],
+    "casestudy": [HELP],
+    "gen": [
+        HELP,
+        (("--graph",), "graph", None, True, None, None),
+        (("--count",), "count", None, True, None, int),
+        (("--min-len",), "min_len", 2, False, None, int),
+        (("--max-len",), "max_len", 8, False, None, int),
+        SEED, OUT,
+    ],
+}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_subcommands_are_pinned():
+    assert list(subparsers()) == list(SURFACE)
+
+
+@pytest.mark.parametrize("name", list(SURFACE))
+def test_subcommand_arguments_are_pinned(name):
+    got = [
+        (tuple(a.option_strings), a.dest, a.default, a.required, a.choices, a.type)
+        for a in subparsers()[name]._actions
+    ]
+    assert got == SURFACE[name]
+
+
 class TestDist:
     def test_composite_reference_value(self, capsys, trace_path):
         code, out, _ = run_cli(capsys, "dist", "Sa", "Sb", "--trace", trace_path)
@@ -101,7 +161,26 @@ class TestDist:
         )
         assert code == 3
         assert out == ""
-        assert err == "error: cell id 999 out of range for graph with 3 cells\n"
+        assert err == (
+            f"error: measure {measure!r} failed for patterns 'p0' and 'p0': "
+            "cell id 999 out of range for graph with 3 cells\n"
+        )
+
+    def test_measure_errors_name_pattern_ids_as_matrix_does(self, capsys, tmp_path):
+        path = tmp_path / "mixed.csv"
+        save_trace({"p0": make_pattern([(0, 1), (1, 2)]), "p1": make_pattern([(0, 1)])}, str(path))
+        code, out, err = run_cli(
+            capsys, "dist", "p0", "p1", "--trace", str(path), "--measure", "tiakas-time"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: measure 'tiakas-time' failed for patterns 'p0' and 'p1': "
+            "patterns must have equal length, got 2 and 1\n"
+        )
+        assert run_cli(
+            capsys, "matrix", "--trace", str(path), "--measure", "tiakas-time"
+        ) == (3, "", err)
 
     def test_unknown_id(self, capsys, trace_path):
         code, _, err = run_cli(capsys, "dist", "Sa", "Zz", "--trace", trace_path)
@@ -161,7 +240,7 @@ class TestDist:
         path.write_bytes(b"\xff\xfepattern_id,seq,cell,timestamp_index\n")
         code, _, err = run_cli(capsys, "dist", "a", "b", "--trace", str(path))
         assert code == 3
-        assert err.startswith("error: ") and str(path) in err
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count(str(path)) == 1
         assert "Traceback" not in err
 
     def test_undecodable_graph(self, capsys, trace_path, tmp_path):
@@ -172,7 +251,29 @@ class TestDist:
             "--measure", "tiakas-net", "--graph", str(path),
         )
         assert code == 3
-        assert err.startswith("error: ") and str(path) in err
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("edg 1 2", "line 5: expected 'edge <a> <b>', got 'edg 1 2'"),
+        ("edge 1 5", "line 5: edge 1 5 outside 0..2"),
+        ("edge 1 1", "line 5: self-loop on cell 1"),
+        ("edge 1 0", "line 5: duplicate edge 1 0"),
+    ])
+    def test_graph_errors_name_file_and_line(self, capsys, trace_path, tmp_path, line, message):
+        # Comments and blank lines count: the bad edge is the file's fifth line.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# three cells\ncells 3\nedge 0 1\n\n{line}\n")
+        code, out, err = run_cli(
+            capsys, "dist", "Sa", "Sb", "--trace", trace_path,
+            "--measure", "tiakas-net", "--graph", str(path),
+        )
+        assert (code, out, err) == (3, "", f"error: {path}: {message}\n")
+
+    def test_trace_errors_name_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("pattern_id,seq,cell,timestamp_index\np0,0,1,2\np0,1,x,3\n")
+        code, out, err = run_cli(capsys, "dist", "p0", "p0", "--trace", str(path))
+        assert (code, out, err) == (3, "", f"error: {path}: line 3: non-integer field\n")
 
     def test_unknown_measure_is_usage_error(self, capsys, trace_path):
         with pytest.raises(SystemExit) as exc:
@@ -315,6 +416,15 @@ class TestCluster:
         assert code == 0
         assert "medoids:" in out
         assert out_path.read_text().startswith("pattern_id,medoid_id\n")
+
+    def test_exact_bytes_with_and_without_out(self, capsys, trace_path, tmp_path):
+        out_path = tmp_path / "clusters.csv"
+        argv = ["cluster", "--trace", trace_path, "--k", "1"]
+        table = "pattern_id,medoid_id\nSa,Sb\nSb,Sb\n"
+        summary = "medoids: Sb\ntotal cost = 0.200000\n"
+        assert run_cli(capsys, *argv) == (0, table + summary, "")
+        assert run_cli(capsys, *argv, "--out", str(out_path)) == (0, summary, "")
+        assert out_path.read_bytes() == table.encode()
 
     def test_similarity_measures_rejected(self, capsys, trace_path):
         for name in ("lcss", "cvti"):

@@ -8,7 +8,9 @@ from mobisim.graph import (
     example_graph,
     format_graph,
     hex_grid,
+    load_graph,
     parse_graph,
+    save_graph,
 )
 from support import random_connected_graph
 
@@ -169,3 +171,20 @@ class TestGraphFiles:
     def test_non_integer_field(self):
         with pytest.raises(FormatError):
             parse_graph("cells 3\nedge 0 x\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("# map\n\nedge 0 1\n", "line 3: expected 'cells <N>' header, got 'edge 0 1'"),
+        ("\ncells x\n", "line 2: bad cell count 'x'"),
+        ("cells 0\n", "line 1: cell count must be positive"),
+        ("cells 3\n# c\n\n  edge 0 x\n", "line 4: bad edge endpoints in 'edge 0 x'"),
+    ])
+    def test_errors_count_raw_lines(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
+
+    def test_byte_order_mark_loads_equal(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        save_graph(example_graph(), str(plain))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_graph(str(bom)).edges == load_graph(str(plain)).edges == example_graph().edges

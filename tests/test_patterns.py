@@ -8,6 +8,7 @@ from mobisim.patterns import (
     MobilityPattern,
     format_trace,
     is_subpattern,
+    load_trace,
     make_pattern,
     parse_trace,
     slot_minutes,
@@ -298,3 +299,19 @@ class TestTraceFormat:
         text = "pattern_id,seq,cell,timestamp_index\na,0,1,5\na,1,2,3\n"
         with pytest.raises(FormatError):
             parse_trace(text)
+
+    def test_load_names_file_once(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("pattern_id,seq,cell,timestamp_index\na,0,1,5\na,1,2,3\n")
+        with pytest.raises(FormatError) as exc:
+            load_trace(str(path))
+        assert str(exc.value).startswith(f"{path}: pattern 'a': ")
+        assert str(exc.value).count(str(path)) == 1
+
+    def test_byte_order_mark_loads_equal(self, tmp_path):
+        text = "pattern_id,seq,cell,timestamp_index\na,0,1,1\na,1,2,3\nb,0,4,2\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_trace(str(bom)) == load_trace(str(plain)) == parse_trace(text)
