@@ -16,8 +16,10 @@ from .errors import DomainError, FormatError, GraphNotConnectedError, load_text
 class CellGraph:
     """Unweighted bidirected graph over cell ids 0..vertex_count-1.
 
-    Immutable after construction; query results are cached internally, so
-    repeated distance lookups are cheap. Edges are stored both ways: adding
+    Immutable after construction. Two things are cached: the diameter value,
+    and the BFS levels of each source cell that `hop_distance` has been
+    asked about, so repeated lookups from one cell are cheap and memory
+    grows only with the sources queried. Edges are stored both ways: adding
     (a, b) implies (b, a).
     """
 
@@ -65,31 +67,31 @@ class CellGraph:
                 f"cell id {cell} out of range for graph with {self._n} cells"
             )
 
-    def _levels_from(self, source: int) -> list[int]:
-        # BFS level per vertex, -1 where unreachable; cached per source.
-        levels = self._bfs_cache.get(source)
-        if levels is None:
-            levels = [-1] * self._n
-            levels[source] = 0
-            frontier = [source]
-            depth = 0
-            while frontier:
-                depth += 1
-                nxt = []
-                for v in frontier:
-                    for w in self._adj[v]:
-                        if levels[w] < 0:
-                            levels[w] = depth
-                            nxt.append(w)
-                frontier = nxt
-            self._bfs_cache[source] = levels
+    def _bfs(self, source: int) -> list[int]:
+        # BFS level per vertex, -1 where unreachable; nothing is cached.
+        levels = [-1] * self._n
+        levels[source] = 0
+        frontier = [source]
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for w in self._adj[v]:
+                    if levels[w] < 0:
+                        levels[w] = depth
+                        nxt.append(w)
+            frontier = nxt
         return levels
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Length of the shortest path between two cells, in hops."""
         self._check_cell(src)
         self._check_cell(dst)
-        d = self._levels_from(src)[dst]
+        levels = self._bfs_cache.get(src)
+        if levels is None:
+            levels = self._bfs_cache[src] = self._bfs(src)
+        d = levels[dst]
         if d < 0:
             raise GraphNotConnectedError(
                 f"no path between cells {src} and {dst}"
@@ -97,20 +99,45 @@ class CellGraph:
         return d
 
     def diameter(self) -> int:
-        """Largest hop distance over all cell pairs."""
+        """Largest hop distance over all cell pairs.
+
+        Exact iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, "On computing
+        the diameter of real-world undirected graphs", TCS 2013). A double
+        sweep from a max-degree cell gives a lower bound and a path whose
+        midpoint u is the centre; the BFS fringes of u are then scanned from
+        the farthest in, each cell's eccentricity raising the lower bound,
+        until no cell nearer to u can reach beyond it. Each BFS is dropped
+        as soon as its eccentricity is read, so memory stays O(V).
+        """
         if self._diameter is None:
-            best = 0
-            for v in range(self._n):
-                levels = self._levels_from(v)
-                worst = max(levels)
-                if min(levels) < 0:
-                    raise GraphNotConnectedError("graph is not connected")
-                best = max(best, worst)
-            self._diameter = best
+            start = max(range(self._n), key=lambda v: len(self._adj[v]))
+            levels = self._bfs(start)
+            if min(levels) < 0:
+                raise GraphNotConnectedError("graph is not connected")
+            # Double sweep: a is a farthest cell from start, b one from a.
+            a = levels.index(max(levels))
+            levels = self._bfs(a)
+            lower = max(levels)
+            u = levels.index(lower)  # b, then walked lower // 2 hops toward a
+            for depth in range(lower - 1, lower - lower // 2 - 1, -1):
+                u = next(w for w in self._adj[u] if levels[w] == depth)
+            levels = self._bfs(u)
+            i = max(levels)
+            lower = max(lower, i)
+            fringes: list[list[int]] = [[] for _ in range(i + 1)]
+            for v, depth in enumerate(levels):
+                fringes[depth].append(v)
+            # Fringes beyond i are scanned, so a longer path than lower must
+            # join two cells within i of u, which are at most 2i apart.
+            while lower < 2 * i:
+                for v in fringes[i]:
+                    lower = max(lower, max(self._bfs(v)))
+                i -= 1
+            self._diameter = lower
         return self._diameter
 
     def is_connected(self) -> bool:
-        return min(self._levels_from(0)) >= 0
+        return min(self._bfs(0)) >= 0
 
     def __repr__(self) -> str:
         links = sum(len(a) for a in self._adj) // 2

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from mobisim.clustering import ClusterAssignment, DissimilarityMatrix, resolve_measure
-from mobisim.errors import DomainError
+from mobisim.errors import DomainError, GraphNotConnectedError
 from mobisim.graph import CellGraph
 from mobisim.measures import Weights
 from mobisim.patterns import MobilityPattern
@@ -116,6 +116,29 @@ def brute_cvti(a: MobilityPattern, b: MobilityPattern) -> int:
             if ca == cb:
                 total += len(minutes(ta) & minutes(tb))
     return total
+
+
+def brute_diameter(g: CellGraph) -> int:
+    """The all-sources loop: a BFS from every cell, keeping the largest
+    level; any unreachable cell means the graph is not connected."""
+    best = 0
+    for v in range(g.vertex_count):
+        levels = [-1] * g.vertex_count
+        levels[v] = 0
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in g.neighbors(x):
+                    if levels[y] < 0:
+                        levels[y] = levels[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        worst = max(levels)
+        if min(levels) < 0:
+            raise GraphNotConnectedError("graph is not connected")
+        best = max(best, worst)
+    return best
 
 
 def random_connected_graph(rng: random.Random, lo: int = 6, hi: int = 30) -> CellGraph:

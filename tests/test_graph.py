@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobisim.errors import DomainError, FormatError, GraphNotConnectedError
 from mobisim.graph import (
@@ -12,7 +14,7 @@ from mobisim.graph import (
     parse_graph,
     save_graph,
 )
-from support import random_connected_graph
+from support import brute_diameter, random_connected_graph
 
 
 def floyd_warshall(g: CellGraph) -> list[list[float]]:
@@ -74,6 +76,8 @@ class TestHopDistance:
         for _ in range(20):
             g = random_connected_graph(rng, 4, 15)
             dist = floyd_warshall(g)
+            # diameter() first, so hop_distance is checked on the cache it fills itself
+            assert g.diameter() == max(max(row) for row in dist)
             for i in range(g.vertex_count):
                 for j in range(g.vertex_count):
                     assert g.hop_distance(i, j) == dist[i][j]
@@ -107,6 +111,55 @@ class TestHopDistance:
             g.hop_distance(-1, 0)
         with pytest.raises(DomainError):
             g.neighbors(5)
+
+
+def _tree(parents: list[int]) -> CellGraph:
+    return CellGraph(len(parents) + 1, [(p % (i + 1), i + 1) for i, p in enumerate(parents)])
+
+
+def _disjoint_union(a: CellGraph, b: CellGraph) -> CellGraph:
+    shift = a.vertex_count
+    edges = list(a.edges) + [(x + shift, y + shift) for x, y in b.edges]
+    return CellGraph(shift + b.vertex_count, {(min(e), max(e)) for e in edges})
+
+
+_connected = st.one_of(
+    st.integers(1, 40).map(lambda n: CellGraph(n, [(i, i + 1) for i in range(n - 1)])),
+    st.integers(3, 40).map(lambda n: CellGraph(n, [(i, (i + 1) % n) for i in range(n)])),
+    st.integers(1, 40).map(lambda n: CellGraph(n, [(0, i) for i in range(1, n)])),
+    st.lists(st.integers(0, 10**6), max_size=40).map(_tree),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda rc: hex_grid(*rc)),
+    st.randoms(use_true_random=False).map(random_connected_graph),
+)
+_graphs = st.one_of(
+    _connected,
+    st.tuples(_connected, _connected).map(lambda ab: _disjoint_union(*ab)),
+)
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except GraphNotConnectedError as exc:
+        return type(exc), str(exc)
+
+
+class TestDiameter:
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs)
+    def test_matches_all_sources_oracle(self, g):
+        assert _outcome(CellGraph.diameter, g) == _outcome(brute_diameter, g)
+
+    def test_keeps_no_level_lists(self):
+        g = hex_grid(40, 40)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert g.diameter() == 59
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 2**20
 
 
 class TestHexGrid:
