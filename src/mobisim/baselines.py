@@ -10,6 +10,7 @@ as lcss, and the common-visit-time interval as cvti.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .errors import DomainError
 from .graph import CellGraph
@@ -81,18 +82,9 @@ def oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:
     order, absolute position differences are summed over all cells, and the
     total is divided by max(n, m).
     """
-    cells_a, cells_b = a.cells, b.cells
-    g = uncommon_cell_count(a, b)
-
-    displacement = 0
-    for cell in set(cells_a).intersection(cells_b):
-        pos_a = [i for i, c in enumerate(cells_a) if c == cell]
-        pos_b = [i for i, c in enumerate(cells_b) if c == cell]
-        displacement += sum(
-            abs(i - j) for i, j in zip(pos_a, pos_b)
-        )
-    f = displacement / max(len(a), len(b))
-    return f, g
+    va, vb = a.visits, b.visits
+    f = sum(abs(i - j) for c in va.keys() & vb.keys() for i, j in zip(va[c], vb[c]))
+    return f / max(len(a), len(b)), uncommon_cell_count(a, b)
 
 
 def oss(a: MobilityPattern, b: MobilityPattern) -> float:
@@ -102,15 +94,21 @@ def oss(a: MobilityPattern, b: MobilityPattern) -> float:
 
 
 def lcss(a: MobilityPattern, b: MobilityPattern) -> int:
-    """Length of the longest common subsequence of the two cell sequences."""
-    cells_a, cells_b = a.cells, b.cells
-    prev = [0] * (len(cells_b) + 1)
-    for ca in cells_a:
-        cur = [0]
-        for j, cb in enumerate(cells_b):
-            cur.append(prev[j] + 1 if ca == cb else max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence of the two cell sequences.
+
+    Hunt & Szymanski (CACM 1977): tails[k] is the least position in b that
+    ends a common subsequence of length k + 1. b's positions on each cell of
+    a are taken last first, so one point of a extends at most one of them.
+    """
+    vb, tails = b.visits, []
+    for cell in a.cells:
+        for j in reversed(vb.get(cell, ())):
+            k = bisect_left(tails, j)
+            if k == len(tails):
+                tails.append(j)
+            else:
+                tails[k] = j
+    return len(tails)
 
 
 # Minutes shared by the closed intervals of slots i + 1 and j + 1.
@@ -129,10 +127,8 @@ def cvti(a: MobilityPattern, b: MobilityPattern) -> int:
     so two identical full slots overlap for 135 minutes). Higher means more
     similar; this is the one similarity, not dissimilarity, in the module.
     """
-    total = 0
-    for ca, ta in zip(a.cells, a.slots):
-        row = _SLOT_OVERLAP[ta - 1]
-        for cb, tb in zip(b.cells, b.slots):
-            if ca == cb:
-                total += row[tb - 1]
-    return total
+    sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
+    return sum(
+        _SLOT_OVERLAP[sa[i] - 1][sb[j] - 1]
+        for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]
+    )

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines, measures
-from .errors import DomainError
+from .errors import DomainError, as_int
 from .graph import CellGraph
 from .measures import Weights
 from .patterns import MobilityPattern
@@ -229,6 +229,7 @@ def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment
     zeroed. Costs are summed left to right, so they equal the sequential
     definition bit for bit. total_cost is the last cost_history entry.
     """
+    k = as_int(k, "k")
     if not 1 <= k <= m.n:
         raise DomainError(f"k={k} outside 1..{m.n}")
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the text-file loader that
-raises them."""
+"""Exception types shared across the package, the integer check and the
+text-file loader that raise them."""
 
+import operator
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -17,6 +18,14 @@ class FormatError(DomainError):
 
 class GraphNotConnectedError(DomainError):
     """A query needed a path between two cells that have none."""
+
+
+def as_int(value: object, name: str) -> int:
+    """value as an int, if it is an integer; otherwise a DomainError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} {value!r} is not an integer") from None
 
 
 def load_text(path: str, parse: Callable[[str], T]) -> T:

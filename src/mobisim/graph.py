@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable
 
-from .errors import DomainError, FormatError, GraphNotConnectedError, load_text
+from .errors import DomainError, FormatError, GraphNotConnectedError, as_int, load_text
 
 
 class CellGraph:
@@ -24,13 +24,13 @@ class CellGraph:
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        vertex_count = as_int(vertex_count, "cell count")
         if vertex_count <= 0:
             raise DomainError("graph needs at least one cell")
         self._n = vertex_count
         adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
         for a, b in edges:
-            self._check_cell(a)
-            self._check_cell(b)
+            a, b = self._check_cell(a), self._check_cell(b)
             if a == b:
                 raise DomainError(f"self-loop on cell {a}")
             adjacency[a].add(b)
@@ -53,19 +53,21 @@ class CellGraph:
         )
 
     def neighbors(self, cell: int) -> tuple[int, ...]:
-        self._check_cell(cell)
-        return self._adj[cell]
+        return self._adj[self._check_cell(cell)]
 
     def has_edge(self, a: int, b: int) -> bool:
-        self._check_cell(a)
-        self._check_cell(b)
+        a, b = self._check_cell(a), self._check_cell(b)
         return b in self._adj[a]
 
-    def _check_cell(self, cell: int) -> None:
+    def _check_cell(self, cell: int) -> int:
+        # Runs on every hop lookup: a plain int skips the call to as_int.
+        if type(cell) is not int:
+            cell = as_int(cell, "cell id")
         if not 0 <= cell < self._n:
             raise DomainError(
                 f"cell id {cell} out of range for graph with {self._n} cells"
             )
+        return cell
 
     def _bfs(self, source: int) -> list[int]:
         # BFS level per vertex, -1 where unreachable; nothing is cached.
@@ -86,8 +88,7 @@ class CellGraph:
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Length of the shortest path between two cells, in hops."""
-        self._check_cell(src)
-        self._check_cell(dst)
+        src, dst = self._check_cell(src), self._check_cell(dst)
         levels = self._bfs_cache.get(src)
         if levels is None:
             levels = self._bfs_cache[src] = self._bfs(src)
@@ -155,6 +156,7 @@ def hex_grid(rows: int, cols: int) -> CellGraph:
 
     Interior cells have six neighbors; border cells fewer.
     """
+    rows, cols = as_int(rows, "hex_grid rows"), as_int(cols, "hex_grid cols")
     if rows < 1 or cols < 1:
         raise DomainError("hex_grid dimensions must be positive")
     edges = []

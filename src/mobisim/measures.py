@@ -3,7 +3,9 @@
 All three functions return 0 for "as similar as possible" and 1 for "as
 different as possible". The spatial part counts cells of one pattern that
 the other never visits; the temporal part averages normalized timestamp
-gaps over every index pair that lands on a common cell.
+gaps over every index pair that lands on a common cell. Both fold over the
+cells the two patterns share, read from each pattern's `visits` index, as
+do oss, lcss (Hunt-Szymanski, from the same matches) and cvti.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def uncommon_cell_count(a: MobilityPattern, b: MobilityPattern) -> int:
     Counted in both directions: points of a with a cell absent from b, plus
     points of b with a cell absent from a. Repeated visits count once each.
     """
-    cells_a, cells_b = set(a.cells), set(b.cells)
-    return sum(c not in cells_b for c in a.cells) + sum(c not in cells_a for c in b.cells)
+    va, vb = a.visits, b.visits
+    return len(a) + len(b) - sum(len(va[c]) + len(vb[c]) for c in va.keys() & vb.keys())
 
 
 def spatial_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
@@ -57,11 +59,11 @@ def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     pairs. With no common cell there is nothing to compare and the
     patterns count as temporally maximally apart: the result is 1.
     """
-    terms = []
-    for ca, ta in zip(a.cells, a.slots):
-        for cb, tb in zip(b.cells, b.slots):
-            if ca == cb:
-                terms.append(abs(ta - tb) / max(ta, tb))
+    sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
+    terms = [
+        abs(sa[i] - sb[j]) / max(sa[i], sb[j])
+        for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]
+    ]
     if not terms:
         return 1.0
     # fsum keeps the sum independent of term order, so swapping the

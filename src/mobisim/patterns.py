@@ -13,34 +13,26 @@ timestamp.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Sequence
 
-from .errors import DomainError, FormatError, load_text
+from .errors import DomainError, FormatError, as_int, load_text
 
 SLOT_MINUTES = 135
 SLOT_COUNT = 11
 DAY_MINUTES = 1440
 
 
-def _as_int(value: object, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} {value!r} is not an integer") from None
-
-
 # The one check of a slot index and of a cell id: each returns its argument
 # as an int or raises DomainError.
 def _check_slot(index: int) -> int:
-    slot = _as_int(index, "timestamp index")
+    slot = as_int(index, "timestamp index")
     if not 1 <= slot <= SLOT_COUNT:
         raise DomainError(f"timestamp index {index} outside 1..{SLOT_COUNT}")
     return slot
 
 
 def _check_cell(cell: int) -> int:
-    cell_id = _as_int(cell, "cell id")
+    cell_id = as_int(cell, "cell id")
     if cell_id < 0:
         raise DomainError(f"cell id must be non-negative, got {cell}")
     return cell_id
@@ -57,7 +49,7 @@ def slot_minutes(slot: int) -> tuple[int, int]:
 
 def timestamp_of_minute(minute: int) -> int:
     """The slot whose interval contains the given minute of the day."""
-    m = _as_int(minute, "minute")
+    m = as_int(minute, "minute")
     if not 0 <= m < DAY_MINUTES:
         raise DomainError(f"minute {minute} outside 0..{DAY_MINUTES - 1}")
     return m // SLOT_MINUTES + 1
@@ -67,15 +59,16 @@ class MobilityPattern:
     """Ordered non-empty sequence of points with non-decreasing timestamps.
 
     Built from (cell id, timestamp index) int pairs, which are validated
-    here and stored as two int tuples, `cells` and `slots`; that is all the
-    measures read. str() gives the points as `<(cell,tN) ...>`, and repr()
-    adds the word "pattern".
+    here and stored as two int tuples, `cells` and `slots`. `visits`, built
+    from `cells` on first read, maps each cell to the pattern's positions on
+    it in ascending order; the cell-local measures read only that index.
+    str() gives the points as `<(cell,tN) ...>`, and repr() adds "pattern".
 
     With strict=True, at most two consecutive points may share a timestamp;
     by default any non-decreasing run is accepted.
     """
 
-    __slots__ = ("cells", "slots")
+    __slots__ = ("cells", "slots", "_visits")
 
     def __init__(self, pairs: Iterable[tuple[int, int]], strict: bool = False):
         # Every point is checked, slot before cell, before any ordering check.
@@ -97,6 +90,16 @@ class MobilityPattern:
                     )
         self.cells = cells
         self.slots = slots
+        self._visits: dict[int, list[int]] | None = None
+
+    @property
+    def visits(self) -> dict[int, list[int]]:
+        """Each cell mapped to the pattern's positions on it, ascending."""
+        if self._visits is None:
+            self._visits = {}
+            for i, cell in enumerate(self.cells):
+                self._visits.setdefault(cell, []).append(i)
+        return self._visits
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -7,6 +7,7 @@ no shared code with the package, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Sequence
 
@@ -57,6 +58,7 @@ def brute_make_pattern(
     pattern = object.__new__(MobilityPattern)
     pattern.cells = tuple(cells)
     pattern.slots = tuple(slots)
+    pattern._visits = None
     return pattern
 
 
@@ -84,6 +86,39 @@ def brute_d_time(a: MobilityPattern, b: MobilityPattern) -> float:
                 total += abs(ta - tb) / max(ta, tb)
                 k += 1
     return total / k if k else 1.0
+
+
+def scan_d_time(a: MobilityPattern, b: MobilityPattern) -> float:
+    """The L_a x L_b scan over all point pairs, summed with fsum: the
+    temporal dissimilarity bit for bit."""
+    terms = []
+    for ca, ta in zip(a.cells, a.slots):
+        for cb, tb in zip(b.cells, b.slots):
+            if ca == cb:
+                terms.append(abs(ta - tb) / max(ta, tb))
+    return math.fsum(terms) / len(terms) if terms else 1.0
+
+
+def scan_oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:
+    """oss's (f, g), each shared cell's positions found by rescanning both
+    patterns."""
+    displacement = 0
+    for cell in set(a.cells) & set(b.cells):
+        pos_a = [i for i, c in enumerate(a.cells) if c == cell]
+        pos_b = [i for i, c in enumerate(b.cells) if c == cell]
+        displacement += sum(abs(i - j) for i, j in zip(pos_a, pos_b))
+    return displacement / max(len(a), len(b)), brute_uncommon(a, b)
+
+
+def dp_lcss(a: MobilityPattern, b: MobilityPattern) -> int:
+    """The O(L_a * L_b) dynamic-programming table, kept one row at a time."""
+    prev = [0] * (len(b) + 1)
+    for ca in a.cells:
+        cur = [0]
+        for j, cb in enumerate(b.cells):
+            cur.append(prev[j] + 1 if ca == cb else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
 
 
 def brute_lcss(a: MobilityPattern, b: MobilityPattern) -> int:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mobisim.baselines import (
     cvti,
@@ -15,9 +15,26 @@ from mobisim.baselines import (
 )
 from mobisim.errors import DomainError
 from mobisim.graph import CellGraph, example_graph
-from mobisim.measures import Weights
+from mobisim.measures import (
+    Weights,
+    spatial_dissimilarity,
+    temporal_dissimilarity,
+    uncommon_cell_count,
+    weighted_dissimilarity,
+)
 from mobisim.patterns import make_pattern
-from support import brute_cvti, brute_lcss, random_connected_graph, random_pattern
+from support import (
+    brute_cvti,
+    brute_d_space,
+    brute_lcss,
+    brute_make_pattern,
+    brute_uncommon,
+    dp_lcss,
+    random_connected_graph,
+    random_pattern,
+    scan_d_time,
+    scan_oss_components,
+)
 
 SA = make_pattern([(1, 1), (0, 3), (2, 4), (8, 6), (7, 9)])
 SB = make_pattern([(0, 3), (2, 4), (3, 5), (8, 6), (4, 8)])
@@ -252,6 +269,47 @@ class TestCvti:
         a, b = pair
         assert cvti(a, b) >= 0
         assert cvti(a, b) == cvti(b, a)
+
+
+@st.composite
+def dense_pairs(draw):
+    """Two patterns of 1-40 points on the same 1-4 cells, so repeats and
+    shared cells abound; one-point patterns and slot 11 are drawn often.
+    The second is built by the oracle constructor."""
+    n_cells = draw(st.integers(1, 4))
+
+    def one(build):
+        length = draw(st.one_of(st.just(1), st.integers(1, 40)))
+        slots = draw(st.lists(st.integers(1, 11), min_size=length, max_size=length))
+        if draw(st.booleans()):
+            slots[-1] = 11
+        cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=length, max_size=length))
+        return build(list(zip(cells, sorted(slots))))
+
+    return one(make_pattern), one(brute_make_pattern)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_pairs(), st.floats(0.0, 1.0))
+def test_visit_index_kernels_equal_scan_oracles(pair, space):
+    """Every cell-local kernel reads the visits index; each equals the scan
+    over both patterns' points bit for bit, in both argument orders."""
+    w = Weights(space, 1.0 - space)
+    for a, b in (pair, pair[::-1]):
+        assert a.visits == {
+            c: [i for i, x in enumerate(a.cells) if x == c] for c in a.cells
+        }
+        assert uncommon_cell_count(a, b) == brute_uncommon(a, b)
+        assert spatial_dissimilarity(a, b) == brute_d_space(a, b)
+        assert temporal_dissimilarity(a, b) == scan_d_time(a, b)
+        assert weighted_dissimilarity(a, b, w) == (
+            w.space * brute_d_space(a, b) + w.time * scan_d_time(a, b)
+        )
+        f, g = scan_oss_components(a, b)
+        assert oss_components(a, b) == (f, g)
+        assert oss(a, b) == (f + g) / (len(a) + len(b))
+        assert lcss(a, b) == dp_lcss(a, b)
+        assert cvti(a, b) == brute_cvti(a, b)
 
 
 def test_tiakas_net_scales_with_any_graph():

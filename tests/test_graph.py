@@ -1,9 +1,12 @@
 import random
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mobisim.clustering import DissimilarityMatrix, kmedoids
 from mobisim.errors import DomainError, FormatError, GraphNotConnectedError
 from mobisim.graph import (
     CellGraph,
@@ -111,6 +114,27 @@ class TestHopDistance:
             g.hop_distance(-1, 0)
         with pytest.raises(DomainError):
             g.neighbors(5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CellGraph(3, [(0, 1.5)]), "cell id 1.5 is not an integer"),
+        (lambda: CellGraph(2.5), "cell count 2.5 is not an integer"),
+        (lambda: hex_grid(2, 2).hop_distance(0, 1.0), "cell id 1.0 is not an integer"),
+        (lambda: hex_grid(2, 2).neighbors(1.0), "cell id 1.0 is not an integer"),
+        (lambda: hex_grid(2, 2).has_edge("0", 1), "cell id '0' is not an integer"),
+        (lambda: hex_grid(2.5, 2), "hex_grid rows 2.5 is not an integer"),
+        (
+            lambda: kmedoids(DissimilarityMatrix(np.zeros((3, 3))), 1.0),
+            "k 1.0 is not an integer",
+        ),
+    ],
+)
+def test_non_integer_cell_ids_and_k_are_domain_errors(call, message):
+    # Each of these once ended in a TypeError traceback.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _tree(parents: list[int]) -> CellGraph:

@@ -130,8 +130,11 @@ class TestMakePattern:
 
     def test_stores_only_cells_and_slots(self):
         p = make_pattern([(1, 1), (2, 11)])
-        assert MobilityPattern.__slots__ == ("cells", "slots")
+        # _visits is derived from cells, built on first read of `visits`.
+        assert MobilityPattern.__slots__ == ("cells", "slots", "_visits")
         assert not hasattr(p, "__dict__")
+        assert p._visits is None
+        assert p.visits == {1: [0], 2: [1]} and p._visits is p.visits
         assert list(zip(p.cells, p.slots)) == [(1, 1), (2, 11)]
         assert repr(p) == "<pattern (1,t1) (2,t11)>"
         assert str(p) == "<(1,t1) (2,t11)>"
