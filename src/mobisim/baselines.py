@@ -30,12 +30,15 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
             f"patterns must have equal length, got {len(a)} and {len(b)}"
         )
     dia = graph.diameter()
+    # BFS levels are reused within this call only: a graph-wide cache would
+    # keep a V-long list for every cell any pattern ever used.
+    hop_distance = graph.hop_lookup()
     terms = []
     for va, vb in zip(a.cells, b.cells):
         # Every cell is looked up, even where both patterns sit on it. Hop
         # distance is symmetric on the undirected graph, and 0 hops is 0.0,
         # so a one-cell graph (diameter 0) never divides by 0.
-        hops = graph.hop_distance(va, vb)
+        hops = hop_distance(va, vb)
         terms.append(hops / dia if hops else 0.0)
     return math.fsum(terms) / len(terms)
 

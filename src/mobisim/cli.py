@@ -148,8 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call, not at import, and reused by later calls:
+# building all five subparsers costs about a millisecond per command.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         out = args.run(args)
     except (DomainError, OSError) as exc:

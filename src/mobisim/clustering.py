@@ -14,10 +14,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines, measures
-from .errors import DomainError, as_int
+from .errors import DomainError, GraphNotConnectedError, as_int
 from .graph import CellGraph
-from .measures import Weights
-from .patterns import MobilityPattern
+from .measures import DEFAULT_WEIGHTS, Weights
+from .patterns import SLOT_COUNT, MobilityPattern
 
 MeasureFn = Callable[[MobilityPattern, MobilityPattern], float]
 
@@ -31,7 +31,9 @@ class Measure:
     counts that read only the two patterns; every other measure is a [0,1]
     dissimilarity. cell_local marks a measure that reads only the cells two
     patterns share, so it has one value on every pair that shares no cell;
-    the positional measures are not cell-local.
+    the positional measures are not cell-local. table, given the patterns
+    and the same extra inputs, gives a positional measure's whole matrix at
+    once, or None when some pair may fail, so that the pair loop runs.
     """
 
     fn: Callable[..., float]
@@ -39,6 +41,105 @@ class Measure:
     reads_weights: bool = False
     similarity: bool = False
     cell_local: bool = False
+    table: Callable[..., np.ndarray | None] | None = None
+
+
+# A term is split into 30-bit limbs, and no temporary of the pair sums
+# holds more than _CHUNK values.
+_LIMB = 30
+_CHUNK = 1 << 16
+
+
+def _exact_means(
+    codes: np.ndarray, pick: np.ndarray, terms: list[float]
+) -> np.ndarray | None:
+    """values[i, j] = math.fsum(terms[pick[codes[i, l], codes[j, l]]] for
+    each of the L columns l) / L, bit for bit, for every pair at once; None
+    if the sums might not be exact.
+
+    Every term is a non-negative double, so each is an integer multiple k of
+    2**-e for the largest e any of them needs. Each pair's k's are summed
+    in two int64 limbs, k = hi * 2**30 + lo. While both limb sums stay
+    below 2**53 each is an exact double, and one float addition of the two
+    scaled sums rounds their exact total once, which is what fsum returns.
+    Rows are taken in chunks, so memory grows with n^2, not n^2 * L.
+    """
+    ratios = [t.as_integer_ratio() for t in terms]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    ks = [num << (e - den.bit_length() + 1) for num, den in ratios]
+    n, length = codes.shape
+    if length * max(max(ks) >> _LIMB, 1 << _LIMB) >= 2**53:
+        return None
+    hi = np.array([k >> _LIMB for k in ks], dtype=np.int64)
+    lo = np.array([k & ((1 << _LIMB) - 1) for k in ks], dtype=np.int64)
+    values = np.empty((n, n))
+    step = max(1, _CHUNK // n)
+    for start in range(0, n, step):
+        rows = codes[start : start + step]
+        hi_sum = np.zeros((len(rows), n), dtype=np.int64)
+        lo_sum = np.zeros((len(rows), n), dtype=np.int64)
+        for a, b in zip(rows.T, codes.T):
+            term = pick[a[:, None], b]
+            hi_sum += hi[term]
+            lo_sum += lo[term]
+        scaled = hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
+        values[start : start + step] = scaled / length
+    return values
+
+
+def _equal_length(patterns: Sequence[MobilityPattern]) -> int | None:
+    length = len(patterns[0])
+    return length if all(len(p) == length for p in patterns) else None
+
+
+def _tiakas_net_table(
+    patterns: Sequence[MobilityPattern], graph: CellGraph
+) -> np.ndarray | None:
+    """tiakas_net on every pair: one hop table over the cells in use, whose
+    entries index the dia + 1 possible terms."""
+    if _equal_length(patterns) is None:
+        return None
+    try:
+        dia = graph.diameter()
+    except GraphNotConnectedError:
+        return None
+    # Each cell's row in the hop table; a dict, since np.unique alone adds
+    # about 0.75 MB of resident memory to a process.
+    code: dict[int, int] = {}
+    codes = np.array([[code.setdefault(c, len(code)) for c in p.cells] for p in patterns])
+    if max(code) >= graph.vertex_count:
+        return None
+    terms = [h / dia if h else 0.0 for h in range(dia + 1)]
+    return _exact_means(codes, graph.hop_table(list(code)), terms)
+
+
+# Index of the term for slot increments (da, db) in _tiakas_time_table.
+_STEP_PICK = np.arange(SLOT_COUNT**2).reshape(SLOT_COUNT, SLOT_COUNT)
+
+
+def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray | None:
+    """tiakas_time on every pair, from each pattern's slot increments; the
+    term of every increment pair (0..10, 0..10) is taken from tiakas_time
+    itself on two-point patterns."""
+    length = _equal_length(patterns)
+    if length is None or length < 2:
+        return None
+    steps = [MobilityPattern([(0, 1), (0, 1 + d)]) for d in range(SLOT_COUNT)]
+    terms = [baselines.tiakas_time(a, b) for a in steps for b in steps]
+    increments = np.diff(np.array([p.slots for p in patterns]), axis=1)
+    return _exact_means(increments, _STEP_PICK, terms)
+
+
+def _tiakas_total_table(
+    patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
+) -> np.ndarray | None:
+    """tiakas_total on every pair, from the net and time tables."""
+    time = _tiakas_time_table(patterns)
+    net = None if time is None else _tiakas_net_table(patterns, graph)
+    if net is None:
+        return None
+    w = DEFAULT_WEIGHTS if weights is None else weights
+    return w.space * net + w.time * time
 
 
 MEASURE_TABLE: dict[str, Measure] = {
@@ -47,10 +148,15 @@ MEASURE_TABLE: dict[str, Measure] = {
     "composite": Measure(
         measures.weighted_dissimilarity, reads_weights=True, cell_local=True
     ),
-    "tiakas-net": Measure(baselines.tiakas_net, reads_graph=True),
-    "tiakas-time": Measure(baselines.tiakas_time),
+    "tiakas-net": Measure(
+        baselines.tiakas_net, reads_graph=True, table=_tiakas_net_table
+    ),
+    "tiakas-time": Measure(baselines.tiakas_time, table=_tiakas_time_table),
     "tiakas-total": Measure(
-        baselines.tiakas_total, reads_graph=True, reads_weights=True
+        baselines.tiakas_total,
+        reads_graph=True,
+        reads_weights=True,
+        table=_tiakas_total_table,
     ),
     "oss": Measure(baselines.oss, cell_local=True),
     "lcss": Measure(baselines.lcss, similarity=True, cell_local=True),
@@ -85,10 +191,15 @@ def resolve_measure(
     fn = spec.fn
     if spec.similarity:
         return lambda a, b: float(fn(a, b))
-    extra = (graph,) * spec.reads_graph + (weights,) * spec.reads_weights
+    extra = _extra(spec, graph, weights)
     if not extra:
         return fn
     return lambda a, b: fn(a, b, *extra)
+
+
+def _extra(spec: Measure, graph: CellGraph | None, weights: Weights | None) -> tuple:
+    """The inputs a measure reads after the two patterns."""
+    return (graph,) * spec.reads_graph + (weights,) * spec.reads_weights
 
 
 def pair_failed(measure: str, id_a: object, id_b: object, exc: Exception) -> DomainError:
@@ -149,13 +260,15 @@ def build_matrix(
     pairs, those that share a cell (inverted-index candidate generation,
     as in Bayardo, Ma & Srikant, WWW 2007), and the measure runs on those
     alone. Every other pair gets the measure's value on _DISJOINT_PAIR,
-    the same as on any pair sharing no cell. The tiakas measures run on
-    every pair i <= j. Candidates run in row-major order, so a failing
-    measure names the first pair that a full row-major scan would.
+    the same as on any pair sharing no cell. The tiakas measures have a
+    table function that computes every pair at once; where it cannot vouch
+    that no pair fails, they run on every pair i <= j. Candidates run in
+    row-major order, so a failing measure names the first pair that a full
+    row-major scan would.
 
-    The index is plain Python and numpy: importing scipy.sparse alone
-    costs more time and memory than building the whole matrix does on
-    traces where few pairs share a cell.
+    The index and the tables are plain Python and numpy: importing
+    scipy.sparse alone costs more time and memory than building the whole
+    matrix does on traces where few pairs share a cell.
     """
     if not patterns:
         raise DomainError("need at least one pattern")
@@ -166,20 +279,24 @@ def build_matrix(
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
-    if spec.cell_local:
-        rows, cols = _sharing_pairs(patterns)
-        values = np.full((n, n), fn(*_DISJOINT_PAIR), dtype=np.float64)
-    else:
-        rows, cols = np.triu_indices(n)
-        values = np.empty((n, n), dtype=np.float64)
-    found = []
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        try:
-            found.append(fn(patterns[i], patterns[j]))
-        except DomainError as exc:
-            raise pair_failed(measure, names[i], names[j], exc) from exc
-    values[rows, cols] = found
-    values[cols, rows] = found
+    values = None
+    if spec.table is not None:
+        values = spec.table(patterns, *_extra(spec, graph, weights))
+    if values is None:
+        if spec.cell_local:
+            rows, cols = _sharing_pairs(patterns)
+            values = np.full((n, n), fn(*_DISJOINT_PAIR), dtype=np.float64)
+        else:
+            rows, cols = np.triu_indices(n)
+            values = np.empty((n, n), dtype=np.float64)
+        found = []
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            try:
+                found.append(fn(patterns[i], patterns[j]))
+            except DomainError as exc:
+                raise pair_failed(measure, names[i], names[j], exc) from exc
+        values[rows, cols] = found
+        values[cols, rows] = found
     values.setflags(write=False)
     return DissimilarityMatrix(values=values, ids=ids)
 

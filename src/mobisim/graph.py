@@ -8,7 +8,7 @@ cells directly. Distances are hop counts from breadth-first search.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FormatError, GraphNotConnectedError, as_int, load_text
 
@@ -16,11 +16,10 @@ from .errors import DomainError, FormatError, GraphNotConnectedError, as_int, lo
 class CellGraph:
     """Unweighted bidirected graph over cell ids 0..vertex_count-1.
 
-    Immutable after construction. Two things are cached: the diameter value,
-    and the BFS levels of each source cell that `hop_distance` has been
-    asked about, so repeated lookups from one cell are cheap and memory
-    grows only with the sources queried. Edges are stored both ways: adding
-    (a, b) implies (b, a).
+    Immutable after construction. Only the diameter value is cached: BFS
+    levels live no longer than the call, or the `hop_lookup` function, that
+    asked for them, so memory never grows with the sources queried. Edges
+    are stored both ways: adding (a, b) implies (b, a).
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
@@ -38,7 +37,6 @@ class CellGraph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adjacency
         )
-        self._bfs_cache: dict[int, list[int]] = {}
         self._diameter: int | None = None
 
     @property
@@ -86,18 +84,72 @@ class CellGraph:
             frontier = nxt
         return levels
 
+    def hop_lookup(self) -> Callable[[int, int], int]:
+        """A hop_distance that keeps the BFS levels of each source cell it is
+        asked about for as long as the returned function lives."""
+        rows: dict[int, list[int]] = {}
+
+        def hops(src: int, dst: int) -> int:
+            src, dst = self._check_cell(src), self._check_cell(dst)
+            if src == dst:
+                return 0
+            levels = rows.get(src)
+            if levels is None:
+                levels = rows[src] = self._bfs(src)
+            d = levels[dst]
+            if d < 0:
+                raise GraphNotConnectedError(
+                    f"no path between cells {src} and {dst}"
+                )
+            return d
+
+        return hops
+
     def hop_distance(self, src: int, dst: int) -> int:
         """Length of the shortest path between two cells, in hops."""
-        src, dst = self._check_cell(src), self._check_cell(dst)
-        levels = self._bfs_cache.get(src)
-        if levels is None:
-            levels = self._bfs_cache[src] = self._bfs(src)
-        d = levels[dst]
-        if d < 0:
-            raise GraphNotConnectedError(
-                f"no path between cells {src} and {dst}"
-            )
-        return d
+        return self.hop_lookup()(src, dst)
+
+    def hop_table(self, cells: Sequence[int]):
+        """Hop distances between every two of the given cells, as a U x U
+        int32 array, -1 where no path joins them.
+
+        One BFS from all U cells at once, one bit per source (Then et al.,
+        "The More the Merrier: Efficient Multi-Source Graph Traversal", VLDB
+        2015): every cell holds the bits of the sources that have reached
+        it, packed into 64-bit words, and each level ORs the frontier words
+        of every cell's neighbours through a degree-padded neighbour array
+        whose padding row is all zeros. Entry (i, j) counts the levels after
+        which cell i still lacked cell j's bit, which is their distance; the
+        graph is undirected, so the table is symmetric. Memory is
+        O(V * U / 64 + U^2).
+        """
+        import numpy as np  # only this method needs numpy
+
+        cells = [self._check_cell(c) for c in cells]
+        n, u = self._n, len(cells)
+        nbr = np.full((n, max(1, max(map(len, self._adj)))), n, dtype=np.intp)
+        for v, adj in enumerate(self._adj):
+            nbr[v, : len(adj)] = adj
+        words = -(-u // 64)
+        bits = np.packbits(np.eye(u, words * 64, dtype=bool), axis=1).view(np.uint64)
+        reached = np.zeros((n + 1, words), dtype=np.uint64)
+        np.bitwise_or.at(reached, cells, bits)
+        frontier = reached.copy()
+        table = np.zeros((u, u), dtype=np.int32)
+        while True:
+            missing = np.unpackbits(reached[cells].view(np.uint8), axis=1, count=u) == 0
+            if not missing.any():
+                return table
+            table += missing
+            step = frontier[nbr[:, 0]]
+            for col in nbr.T[1:]:
+                step |= frontier[col]
+            step &= ~reached[:n]
+            if not step.any():
+                table[missing] = -1
+                return table
+            frontier[:n] = step
+            reached[:n] |= step
 
     def diameter(self) -> int:
         """Largest hop distance over all cell pairs.

@@ -51,6 +51,14 @@ def spatial_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     return uncommon_cell_count(a, b) / (len(a) + len(b))
 
 
+def _mean_gap(terms: list[float]) -> float:
+    if not terms:
+        return 1.0
+    # fsum keeps the sum independent of term order, so swapping the
+    # arguments yields the bit-identical result.
+    return math.fsum(terms) / len(terms)
+
+
 def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     """Mean normalized timestamp gap over all cross-pattern matches.
 
@@ -60,20 +68,32 @@ def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     patterns count as temporally maximally apart: the result is 1.
     """
     sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
-    terms = [
+    return _mean_gap([
         abs(sa[i] - sb[j]) / max(sa[i], sb[j])
         for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]
-    ]
-    if not terms:
-        return 1.0
-    # fsum keeps the sum independent of term order, so swapping the
-    # arguments yields the bit-identical result.
-    return math.fsum(terms) / len(terms)
+    ])
 
 
 def weighted_dissimilarity(
     a: MobilityPattern, b: MobilityPattern, weights: Weights | None = None
 ) -> float:
-    """Convex combination of the spatial and temporal dissimilarities."""
+    """Convex combination of the spatial and temporal dissimilarities.
+
+    One walk over the shared cells gives both the uncommon cell count and
+    the temporal terms, the same integers and doubles that the two parts
+    compute on their own.
+    """
     w = DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * spatial_dissimilarity(a, b) + w.time * temporal_dissimilarity(a, b)
+    sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
+    uncommon = len(a) + len(b)
+    terms: list[float] = []
+    add = terms.append
+    for c in va.keys() & vb.keys():
+        pa, pb = va[c], vb[c]
+        uncommon -= len(pa) + len(pb)
+        for i in pa:
+            ta = sa[i]
+            for j in pb:
+                tb = sb[j]
+                add(abs(ta - tb) / max(ta, tb))
+    return w.space * (uncommon / (len(a) + len(b))) + w.time * _mean_gap(terms)

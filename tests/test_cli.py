@@ -117,6 +117,15 @@ def test_subcommand_arguments_are_pinned(name):
     assert got == SURFACE[name]
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(["casestudy"]) == main(["casestudy"]) == 0
+    assert built == [1]
+
+
 class TestDist:
     def test_composite_reference_value(self, capsys, trace_path):
         code, out, _ = run_cli(capsys, "dist", "Sa", "Sb", "--trace", trace_path)
@@ -633,6 +642,11 @@ class TestEntryPoint:
             proc.stderr.close()
         assert b"Traceback" not in err
         assert err == b""
+
+    def test_import_builds_no_parser(self):
+        proc = self.run_python("-c", "import mobisim.cli; print(mobisim.cli._parser)")
+        assert proc.returncode == 0
+        assert proc.stdout == "None\n"
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy costs about 0.15 s and 20 MB to import; nothing may pull it in.

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from mobisim.clustering import (
     resolve_measure,
 )
 from mobisim.errors import DomainError
-from mobisim.graph import example_graph, hex_grid
+from mobisim.graph import CellGraph, example_graph, hex_grid
 from mobisim.measures import Weights
 from mobisim.patterns import make_pattern
 from support import (
     brute_build_matrix,
     brute_kmedoids,
     has_repeat_at_distinct_slots,
+    random_connected_graph,
     random_pattern,
 )
 
@@ -322,11 +324,11 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def outcome(build, pats, name, weights):
+def outcome(build, pats, name, weights, graph=ORACLE_GRID):
     """The values build gives, or the text of the DomainError it raises."""
     ids = [f"q{i:02d}" for i in range(len(pats))]
     try:
-        m = build(pats, name, graph=ORACLE_GRID, weights=weights, ids=ids)
+        m = build(pats, name, graph=graph, weights=weights, ids=ids)
     except DomainError as exc:
         return str(exc)
     assert m.ids == tuple(ids)
@@ -430,6 +432,115 @@ class TestBuildMatrixOracle:
                 b = random_pattern(rng, 5, max_len=8)
                 b = make_pattern([(c + 5, t) for c, t in zip(b.cells, b.slots)])
                 assert fn(a, b) == fn(b, a) == fill
+
+
+TIAKAS = ("tiakas-net", "tiakas-time", "tiakas-total")
+
+
+def assert_tables_match(pats, graph, names=TIAKAS, weightings=ORACLE_WEIGHTS):
+    """The positional measures' matrices equal the loop build bit for bit,
+    on the patterns in the given order and reversed, or fail the same way."""
+    for name in names:
+        for weights in weightings:
+            want = outcome(brute_build_matrix, pats, name, weights, graph)
+            got = outcome(build_matrix, pats, name, weights, graph)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert same_bits(got, want)
+            back = outcome(build_matrix, pats[::-1], name, weights, graph)
+            assert same_bits(back, want[::-1, ::-1].copy())
+
+
+def slot_walks(rng, graph, count, length):
+    """count walks of the given length; one keeps its first slot throughout,
+    so every increment of it is zero."""
+    walks = [make_pattern(grid_walk(rng, graph, length)) for _ in range(count)]
+    flat = walks[0]
+    walks[0] = make_pattern([(c, flat.slots[0]) for c in flat.cells])
+    return walks
+
+
+class TestTiakasTables:
+    """build_matrix computes the tiakas measures for every pair at once from
+    a hop table and integer sums; each value must be the per-pair function's
+    bit for bit, and any failure the loop's, naming the same pair."""
+
+    def test_random_graphs(self):
+        rng = random.Random("tiakas/random")
+        diameters = set()
+        while len(diameters) < 5:
+            g = random_connected_graph(rng, 6, 40)
+            dia = g.diameter()
+            if dia & (dia - 1) == 0 or dia in diameters:
+                continue
+            diameters.add(dia)
+            for length in (1, 2, 3, 70):
+                assert_tables_match(slot_walks(rng, g, rng.randint(1, 7), length), g)
+
+    def test_one_cell_graph(self):
+        g = CellGraph(1)
+        rng = random.Random(5)
+        for length in (1, 2, 70):
+            assert_tables_match(slot_walks(rng, g, 4, length), g)
+
+    def test_long_path_needs_limbs_beyond_62_bits(self):
+        # Terms h / 1200 need up to 63 fraction bits, so a term's integer
+        # does not fit in an int64 and the limb split must carry it.
+        dia = 1200
+        g = CellGraph(dia + 1, [(i, i + 1) for i in range(dia)])
+        bits = max((h / dia).as_integer_ratio()[1] for h in range(1, dia + 1))
+        assert bits.bit_length() - 1 > 62
+        rng = random.Random(6)
+        pats = [random_pattern(rng, dia + 1, 66, 66) for _ in range(4)]
+        # Two ends swapped: every term is 1.0, whose integer is 2**63.
+        pats.append(make_pattern([(0, 1)] * 33 + [(dia, 11)] * 33))
+        pats.append(make_pattern([(dia, 1)] * 33 + [(0, 11)] * 33))
+        assert_tables_match(pats, g, ("tiakas-net", "tiakas-total"), (None,))
+
+    def test_table_runs_no_pair_loop(self, monkeypatch):
+        pats = slot_walks(random.Random(7), ORACLE_GRID, 6, 5)
+        want = outcome(brute_build_matrix, pats, "tiakas-total", None)
+
+        def no_lookup(self):
+            raise AssertionError("per-pair hop lookup")
+
+        monkeypatch.setattr(CellGraph, "hop_lookup", no_lookup)
+        assert same_bits(outcome(build_matrix, pats, "tiakas-total", None), want)
+
+    @pytest.mark.parametrize("names, graph, cells, message", [
+        (("tiakas-net", "tiakas-total"), ORACLE_GRID, [[0, 1], [2, 3], [16, 4]],
+         "'q00' and 'q02': cell id 16 out of range for graph with 16 cells"),
+        (("tiakas-net", "tiakas-total"), CellGraph(4, [(0, 1), (2, 3)]), [[0, 1], [2, 3]],
+         "'q00' and 'q00': graph is not connected"),
+        (("tiakas-time", "tiakas-total"), ORACLE_GRID, [[0], [1], [2]],
+         "'q00' and 'q00': patterns need at least two points"),
+    ])
+    def test_failure_is_the_loops(self, names, graph, cells, message):
+        pats = [make_pattern([(c, t + 1) for t, c in enumerate(row)]) for row in cells]
+        for name in names:
+            want = outcome(brute_build_matrix, pats, name, None, graph)
+            assert want == f"measure {name!r} failed for patterns {message}"
+            assert outcome(build_matrix, pats, name, None, graph) == want
+
+    def test_matrix_leaves_no_levels_on_the_graph(self):
+        # A graph-wide BFS cache kept a 900-long level list for each of the
+        # several hundred cells these walks use, about 5 MB.
+        g = hex_grid(30, 30)
+        rng = random.Random(8)
+        pats = [make_pattern(grid_walk(rng, g, 8)) for _ in range(120)]
+        g.diameter()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = build_matrix(pats, "tiakas-net", graph=g)
+            pair = [baselines.tiakas_net(a, b, g) for a, b in zip(pats, pats[1:20])]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pair == [m.values[i, i + 1] for i in range(19)]
+        assert set(vars(g)) == {"_n", "_adj", "_diameter"}
+        assert retained - m.values.nbytes < 2**17
 
 
 class TestMatrixValidation:

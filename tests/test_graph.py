@@ -79,7 +79,6 @@ class TestHopDistance:
         for _ in range(20):
             g = random_connected_graph(rng, 4, 15)
             dist = floyd_warshall(g)
-            # diameter() first, so hop_distance is checked on the cache it fills itself
             assert g.diameter() == max(max(row) for row in dist)
             for i in range(g.vertex_count):
                 for j in range(g.vertex_count):
@@ -114,6 +113,51 @@ class TestHopDistance:
             g.hop_distance(-1, 0)
         with pytest.raises(DomainError):
             g.neighbors(5)
+
+
+class TestHopTable:
+    def test_matches_floyd_warshall_on_random_graphs(self):
+        # Up to 80 cells drawn with repeats: more sources than one 64-bit
+        # word holds, and on some graphs cells that no path joins.
+        rng = random.Random(3)
+        for _ in range(40):
+            g = random_connected_graph(rng, 1, 40)
+            if rng.random() < 0.3:
+                g = _disjoint_union(g, random_connected_graph(rng, 1, 10))
+            dist = floyd_warshall(g)
+            cells = [rng.randrange(g.vertex_count) for _ in range(rng.randint(0, 80))]
+            table = g.hop_table(cells)
+            assert table.dtype == np.int32
+            assert table.tolist() == [
+                [-1 if dist[a][b] == float("inf") else int(dist[a][b]) for b in cells]
+                for a in cells
+            ]
+
+    def test_matches_hop_distance(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            g = random_connected_graph(rng, 2, 60)
+            cells = rng.sample(range(g.vertex_count), rng.randint(1, g.vertex_count))
+            hops = g.hop_lookup()
+            assert g.hop_table(cells).tolist() == [[hops(a, b) for b in cells] for a in cells]
+            a, b = rng.choice(cells), rng.choice(cells)
+            assert g.hop_distance(a, b) == hops(a, b)
+
+    def test_off_graph_cell_is_the_hop_distance_error(self):
+        g = CellGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(DomainError) as table_exc:
+            g.hop_table([0, 3])
+        with pytest.raises(DomainError) as pair_exc:
+            g.hop_distance(0, 3)
+        assert str(table_exc.value) == str(pair_exc.value)
+
+    def test_graph_keeps_no_levels(self):
+        g = hex_grid(6, 6)
+        for v in range(g.vertex_count):
+            g.hop_distance(v, 0)
+        g.hop_table(range(g.vertex_count))
+        g.diameter()
+        assert set(vars(g)) == {"_n", "_adj", "_diameter"}
 
 
 @pytest.mark.parametrize(
