@@ -27,13 +27,15 @@ class Measure:
     """A measure's function and the inputs it reads besides the two patterns.
 
     fn takes (a, b), then the graph if reads_graph, then the weights if
-    reads_weights. similarity marks the raw-unit similarities, integer
-    counts that read only the two patterns; every other measure is a [0,1]
-    dissimilarity. cell_local marks a measure that reads only the cells two
-    patterns share, so it has one value on every pair that shares no cell;
-    the positional measures are not cell-local. table, given the patterns
-    and the same extra inputs, gives a positional measure's whole matrix at
-    once, or None when some pair may fail, so that the pair loop runs.
+    reads_weights, then the graph's hop_lookup() if reads_graph, which a
+    caller scoring many pairs can share between them. similarity marks the
+    raw-unit similarities, integer counts that read only the two patterns;
+    every other measure is a [0,1] dissimilarity. cell_local marks a
+    measure that reads only the cells two patterns share, so it has one
+    value on every pair that shares no cell; the positional measures are
+    not cell-local. table, given the patterns and the graph and weights
+    as fn takes them, gives a positional measure's whole matrix at once,
+    or None when some pair may fail, so that the pair loop runs.
     """
 
     fn: Callable[..., float]
@@ -149,11 +151,11 @@ MEASURE_TABLE: dict[str, Measure] = {
         measures.weighted_dissimilarity, reads_weights=True, cell_local=True
     ),
     "tiakas-net": Measure(
-        baselines.tiakas_net, reads_graph=True, table=_tiakas_net_table
+        baselines._tiakas_net, reads_graph=True, table=_tiakas_net_table
     ),
     "tiakas-time": Measure(baselines.tiakas_time, table=_tiakas_time_table),
     "tiakas-total": Measure(
-        baselines.tiakas_total,
+        baselines._tiakas_total,
         reads_graph=True,
         reads_weights=True,
         table=_tiakas_total_table,
@@ -192,6 +194,9 @@ def resolve_measure(
     if spec.similarity:
         return lambda a, b: float(fn(a, b))
     extra = _extra(spec, graph, weights)
+    if spec.reads_graph:
+        # A hop lookup per call: BFS levels live no longer than one pair.
+        return lambda a, b: fn(a, b, *extra, graph.hop_lookup())
     if not extra:
         return fn
     return lambda a, b: fn(a, b, *extra)
@@ -262,7 +267,8 @@ def build_matrix(
     alone. Every other pair gets the measure's value on _DISJOINT_PAIR,
     the same as on any pair sharing no cell. The tiakas measures have a
     table function that computes every pair at once; where it cannot vouch
-    that no pair fails, they run on every pair i <= j. Candidates run in
+    that no pair fails, they run on every pair i <= j, sharing one hop
+    lookup so that each source cell's BFS runs once. Candidates run in
     row-major order, so a failing measure names the first pair that a full
     row-major scan would.
 
@@ -279,10 +285,16 @@ def build_matrix(
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
+    extra = _extra(spec, graph, weights)
     values = None
     if spec.table is not None:
-        values = spec.table(patterns, *_extra(spec, graph, weights))
+        values = spec.table(patterns, *extra)
     if values is None:
+        if spec.reads_graph:
+            # One hop lookup for the whole loop: each source cell's BFS runs
+            # once, not once per pair.
+            hops = graph.hop_lookup()
+            fn = lambda a, b: spec.fn(a, b, *extra, hops)
         if spec.cell_local:
             rows, cols = _sharing_pairs(patterns)
             values = np.full((n, n), fn(*_DISJOINT_PAIR), dtype=np.float64)

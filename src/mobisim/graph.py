@@ -8,9 +8,15 @@ cells directly. Distances are hop counts from breadth-first search.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError, FormatError, GraphNotConnectedError, as_int, load_text
+
+# Sources per bit-parallel pass of CellGraph.diameter: 16 words a cell.
+_BATCH = 1024
 
 
 class CellGraph:
@@ -34,6 +40,11 @@ class CellGraph:
                 raise DomainError(f"self-loop on cell {a}")
             adjacency[a].add(b)
             adjacency[b].add(a)
+        self._freeze(adjacency)
+
+    def _freeze(self, adjacency: list[set[int]]) -> None:
+        # adjacency must be symmetric, with every cell in range and no self-loop.
+        self._n = len(adjacency)
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adjacency
         )
@@ -109,58 +120,85 @@ class CellGraph:
         """Length of the shortest path between two cells, in hops."""
         return self.hop_lookup()(src, dst)
 
-    def hop_table(self, cells: Sequence[int]):
+    def _padded_neighbors(self) -> np.ndarray:
+        # Row k holds every cell's k-th neighbour, or n past its degree,
+        # which is the all-zero padding row of _bit_bfs's frontier.
+        degree = np.fromiter(map(len, self._adj), dtype=np.intp, count=self._n)
+        nbr = np.full((max(1, int(degree.max())), self._n), self._n, dtype=np.intp)
+        nbr.T[np.arange(len(nbr)) < degree[:, None]] = np.fromiter(
+            chain.from_iterable(self._adj), dtype=np.intp, count=int(degree.sum())
+        )
+        return nbr
+
+    def _bit_bfs(self, nbr: np.ndarray, sources: Sequence[int]) -> Iterator[np.ndarray]:
+        """One BFS from every source at once, one bit per source (Then et
+        al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
+        VLDB 2015), yielding after level 0, 1, ... the bits of the sources
+        that have not yet reached each cell, for as long as a level reaches
+        a new cell.
+
+        Bits are packed into 64-bit words, and each level ORs the frontier
+        words of every cell's neighbours, one row of nbr (_padded_neighbors)
+        at a time; row n of the frontier is the all-zero padding row, and
+        the buffers are reused from level to level. Every source's bit
+        spreads on its own, so the levels yielded are one more than the
+        largest eccentricity of the sources.
+        """
+        n, u = self._n, len(sources)
+        words = -(-u // 64)
+        bits = np.packbits(np.eye(u, words * 64, dtype=bool), axis=1).view(np.uint64)
+        frontier = np.zeros((n + 1, words), dtype=np.uint64)
+        np.bitwise_or.at(frontier, sources, bits)
+        unseen = ~frontier[:n]
+        spare, gathered = np.zeros_like(frontier), np.empty_like(unseen)
+        while True:
+            yield unseen
+            # Every index is in range: "clip" skips the default mode's bounds
+            # check and the temporary it writes before copying into out.
+            step = np.take(frontier, nbr[0], axis=0, out=spare[:n], mode="clip")
+            for col in nbr[1:]:
+                step |= np.take(frontier, col, axis=0, out=gathered, mode="clip")
+            step &= unseen
+            if not step.any():
+                return
+            unseen ^= step
+            frontier, spare = spare, frontier
+
+    def hop_table(self, cells: Sequence[int]) -> np.ndarray:
         """Hop distances between every two of the given cells, as a U x U
         int32 array, -1 where no path joins them.
 
-        One BFS from all U cells at once, one bit per source (Then et al.,
-        "The More the Merrier: Efficient Multi-Source Graph Traversal", VLDB
-        2015): every cell holds the bits of the sources that have reached
-        it, packed into 64-bit words, and each level ORs the frontier words
-        of every cell's neighbours through a degree-padded neighbour array
-        whose padding row is all zeros. Entry (i, j) counts the levels after
-        which cell i still lacked cell j's bit, which is their distance; the
-        graph is undirected, so the table is symmetric. Memory is
-        O(V * U / 64 + U^2).
+        One bit-parallel BFS from all U cells at once (_bit_bfs): entry
+        (i, j) counts the levels after which cell i still lacked cell j's
+        bit, which is their distance; the graph is undirected, so the table
+        is symmetric. Memory is O(V * U / 64 + U^2).
         """
-        import numpy as np  # only this method needs numpy
-
         cells = [self._check_cell(c) for c in cells]
-        n, u = self._n, len(cells)
-        nbr = np.full((n, max(1, max(map(len, self._adj)))), n, dtype=np.intp)
-        for v, adj in enumerate(self._adj):
-            nbr[v, : len(adj)] = adj
-        words = -(-u // 64)
-        bits = np.packbits(np.eye(u, words * 64, dtype=bool), axis=1).view(np.uint64)
-        reached = np.zeros((n + 1, words), dtype=np.uint64)
-        np.bitwise_or.at(reached, cells, bits)
-        frontier = reached.copy()
+        u = len(cells)
         table = np.zeros((u, u), dtype=np.int32)
-        while True:
-            missing = np.unpackbits(reached[cells].view(np.uint8), axis=1, count=u) == 0
+        for unseen in self._bit_bfs(self._padded_neighbors(), cells):
+            missing = np.unpackbits(unseen[cells].view(np.uint8), axis=1, count=u).view(bool)
             if not missing.any():
                 return table
             table += missing
-            step = frontier[nbr[:, 0]]
-            for col in nbr.T[1:]:
-                step |= frontier[col]
-            step &= ~reached[:n]
-            if not step.any():
-                table[missing] = -1
-                return table
-            frontier[:n] = step
-            reached[:n] |= step
+        table[missing] = -1
+        return table
 
     def diameter(self) -> int:
         """Largest hop distance over all cell pairs.
 
         Exact iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, "On computing
         the diameter of real-world undirected graphs", TCS 2013). A double
-        sweep from a max-degree cell gives a lower bound and a path whose
-        midpoint u is the centre; the BFS fringes of u are then scanned from
-        the farthest in, each cell's eccentricity raising the lower bound,
-        until no cell nearer to u can reach beyond it. Each BFS is dropped
-        as soon as its eccentricity is read, so memory stays O(V).
+        sweep from a max-degree cell gives a lower bound L and a path whose
+        midpoint u is the centre: three Python BFS runs in all. A path
+        longer than L has an end v with 2 d(u, v) > L, so the eccentricities
+        of those cells, the outer fringes of u, settle the diameter. They
+        are scanned farthest first, _BATCH sources at a time, each batch one
+        bit-parallel BFS (_bit_bfs) whose level count is the largest
+        eccentricity among its sources; once L has risen to 2 d(u, v) of a
+        batch's first cell, that batch and all later ones are skipped.
+        Memory is O(V * (max degree + _BATCH / 64)); no level outlives the
+        call.
         """
         if self._diameter is None:
             start = max(range(self._n), key=lambda v: len(self._adj[v]))
@@ -175,17 +213,16 @@ class CellGraph:
             for depth in range(lower - 1, lower - lower // 2 - 1, -1):
                 u = next(w for w in self._adj[u] if levels[w] == depth)
             levels = self._bfs(u)
-            i = max(levels)
-            lower = max(lower, i)
-            fringes: list[list[int]] = [[] for _ in range(i + 1)]
-            for v, depth in enumerate(levels):
-                fringes[depth].append(v)
-            # Fringes beyond i are scanned, so a longer path than lower must
-            # join two cells within i of u, which are at most 2i apart.
-            while lower < 2 * i:
-                for v in fringes[i]:
-                    lower = max(lower, max(self._bfs(v)))
-                i -= 1
+            lower = max(lower, max(levels))
+            far = [v for v, depth in enumerate(levels) if 2 * depth > lower]
+            far.sort(key=levels.__getitem__, reverse=True)
+            # Padded to the largest degree, so a star's would be V x V.
+            nbr = self._padded_neighbors() if far else None
+            for first in range(0, len(far), _BATCH):
+                if 2 * levels[far[first]] <= lower:
+                    break
+                passes = self._bit_bfs(nbr, far[first : first + _BATCH])
+                lower = max(lower, sum(1 for _ in passes) - 1)
             self._diameter = lower
         return self._diameter
 
@@ -234,41 +271,44 @@ def parse_graph(text: str) -> CellGraph:
     self-loops are rejected.
     """
     n = 0  # the cell count, once the header line is read
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    adjacency: list[set[int]] = []
     for lineno, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
         parts = ln.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if not n:
             if len(parts) != 2 or parts[0] != "cells":
-                raise FormatError(f"line {lineno}: expected 'cells <N>' header, got {ln!r}")
+                raise FormatError(
+                    f"line {lineno}: expected 'cells <N>' header, got {ln.strip()!r}"
+                )
             try:
                 n = int(parts[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad cell count {parts[1]!r}") from None
             if n <= 0:
                 raise FormatError(f"line {lineno}: cell count must be positive")
+            adjacency = [set() for _ in range(n)]
             continue
         if len(parts) != 3 or parts[0] != "edge":
-            raise FormatError(f"line {lineno}: expected 'edge <a> <b>', got {ln!r}")
+            raise FormatError(f"line {lineno}: expected 'edge <a> <b>', got {ln.strip()!r}")
         try:
             a, b = int(parts[1]), int(parts[2])
         except ValueError:
-            raise FormatError(f"line {lineno}: bad edge endpoints in {ln!r}") from None
+            raise FormatError(f"line {lineno}: bad edge endpoints in {ln.strip()!r}") from None
         if a == b:
             raise FormatError(f"line {lineno}: self-loop on cell {a}")
         if not (0 <= a < n and 0 <= b < n):
             raise FormatError(f"line {lineno}: edge {a} {b} outside 0..{n - 1}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
+        if b in adjacency[a]:
             raise FormatError(f"line {lineno}: duplicate edge {a} {b}")
-        seen.add(key)
-        edges.append((a, b))
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     if not n:
         raise FormatError("empty graph file")
-    return CellGraph(n, edges)
+    # Every edge is checked above, so the graph is built without a second pass.
+    g = CellGraph.__new__(CellGraph)
+    g._freeze(adjacency)
+    return g
 
 
 def format_graph(g: CellGraph) -> str:

@@ -523,6 +523,35 @@ class TestTiakasTables:
             assert want == f"measure {name!r} failed for patterns {message}"
             assert outcome(build_matrix, pats, name, None, graph) == want
 
+    @pytest.mark.parametrize("last, reason", [
+        ([(1600, t) for t in range(1, 11)], "cell id 1600 out of range for graph with 1600 cells"),
+        ([(0, t) for t in range(1, 10)], "patterns must have equal length, got 10 and 9"),
+    ])
+    def test_pair_loop_runs_one_bfs_per_source_cell(self, last, reason, monkeypatch):
+        # With a fresh hop lookup per pair, row 0 reran the BFS of each cell
+        # of walk 0 for every pair: about 2000 BFS runs and 1 s here.
+        g = hex_grid(40, 40)
+        rng = random.Random(9)
+        pats = [make_pattern(grid_walk(rng, g, 10)) for _ in range(299)]
+        pats.append(make_pattern(last))
+        g.diameter()
+        bfs, runs = CellGraph._bfs, []
+
+        def counted(self, source):
+            runs.append(source)
+            return bfs(self, source)
+
+        monkeypatch.setattr(CellGraph, "_bfs", counted)
+        for name in ("tiakas-net", "tiakas-total"):
+            runs.clear()
+            got = outcome(build_matrix, pats, name, None, g)
+            assert got == f"measure {name!r} failed for patterns 'q00' and 'q299': {reason}"
+            assert len(runs) == len(set(runs)) <= len(set(pats[0].cells))
+            short = pats[:30] + pats[-1:]
+            assert outcome(build_matrix, short, name, None, g) == (
+                outcome(brute_build_matrix, short, name, None, g)
+            )
+
     def test_matrix_leaves_no_levels_on_the_graph(self):
         # A graph-wide BFS cache kept a 900-long level list for each of the
         # several hundred cells these walks use, about 5 MB.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mobisim import graph as graph_module
 from mobisim.clustering import DissimilarityMatrix, kmedoids
 from mobisim.errors import DomainError, FormatError, GraphNotConnectedError
 from mobisim.graph import (
@@ -191,13 +192,30 @@ def _disjoint_union(a: CellGraph, b: CellGraph) -> CellGraph:
     return CellGraph(shift + b.vertex_count, {(min(e), max(e)) for e in edges})
 
 
+def _cycle(n: int) -> CellGraph:
+    return CellGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _broom(handle: int, leaves: int) -> CellGraph:
+    """A path of handle + 2 cells whose two end cells each get leaves - 1
+    more neighbours, all leaves of the tree."""
+    ends = (0, handle + 1)
+    edges = [(i, i + 1) for i in range(handle + 1)]
+    for k in range(2 * leaves - 2):
+        edges.append((ends[k % 2], handle + 2 + k))
+    return CellGraph(handle + 2 * leaves, edges)
+
+
+# Up to about 300 cells, so that on some cycles, brooms, grids and random
+# graphs the outer fringes of the centre hold more than 64 cells.
 _connected = st.one_of(
-    st.integers(1, 40).map(lambda n: CellGraph(n, [(i, i + 1) for i in range(n - 1)])),
-    st.integers(3, 40).map(lambda n: CellGraph(n, [(i, (i + 1) % n) for i in range(n)])),
-    st.integers(1, 40).map(lambda n: CellGraph(n, [(0, i) for i in range(1, n)])),
-    st.lists(st.integers(0, 10**6), max_size=40).map(_tree),
-    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda rc: hex_grid(*rc)),
-    st.randoms(use_true_random=False).map(random_connected_graph),
+    st.integers(1, 300).map(lambda n: CellGraph(n, [(i, i + 1) for i in range(n - 1)])),
+    st.integers(3, 300).map(_cycle),
+    st.integers(1, 300).map(lambda n: CellGraph(n, [(0, i) for i in range(1, n)])),
+    st.lists(st.integers(0, 10**6), max_size=300).map(_tree),
+    st.tuples(st.integers(0, 20), st.integers(1, 140)).map(lambda hl: _broom(*hl)),
+    st.tuples(st.integers(1, 30), st.integers(1, 30)).map(lambda rc: hex_grid(*rc)),
+    st.randoms(use_true_random=False).map(lambda r: random_connected_graph(r, 1, 300)),
 )
 _graphs = st.one_of(
     _connected,
@@ -214,9 +232,37 @@ def _outcome(fn, g):
 
 class TestDiameter:
     @settings(max_examples=300, deadline=None)
-    @given(_graphs)
-    def test_matches_all_sources_oracle(self, g):
-        assert _outcome(CellGraph.diameter, g) == _outcome(brute_diameter, g)
+    @given(_graphs, st.sampled_from([1, 64, graph_module._BATCH]))
+    def test_matches_all_sources_oracle(self, g, batch):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_BATCH", batch)
+            assert _outcome(CellGraph.diameter, g) == _outcome(brute_diameter, g)
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_fringes_wider_than_a_batch(self, batch, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BATCH", batch)
+        passes, bit_bfs = [], CellGraph._bit_bfs
+
+        def counted(self, nbr, sources):
+            passes.append(len(sources))
+            return bit_bfs(self, nbr, sources)
+
+        monkeypatch.setattr(CellGraph, "_bit_bfs", counted)
+        for g in (_cycle(301), _broom(4, 100), hex_grid(30, 30)):
+            passes.clear()
+            assert g.diameter() == brute_diameter(g)
+            assert len(passes) > 1 and max(passes) == batch
+
+    def test_three_python_sweeps(self, monkeypatch):
+        sweeps, bfs = [], CellGraph._bfs
+
+        def counted(self, source):
+            sweeps.append(source)
+            return bfs(self, source)
+
+        monkeypatch.setattr(CellGraph, "_bfs", counted)
+        assert hex_grid(40, 40).diameter() == 59
+        assert len(sweeps) == 3
 
     def test_keeps_no_level_lists(self):
         g = hex_grid(40, 40)
@@ -267,11 +313,14 @@ class TestGraphFiles:
         again = parse_graph(text)
         assert again.vertex_count == g.vertex_count
         assert again.edges == g.edges
+        assert vars(again) == vars(CellGraph(g.vertex_count, g.edges))
 
     def test_comments_and_blanks_tolerated(self):
         g = parse_graph("# coverage map\n\ncells 3\nedge 0 1\n# mid comment\nedge 1 2\n")
         assert g.vertex_count == 3
         assert g.has_edge(2, 1)
+        indented = parse_graph("\t# map\n  cells 3\n   # edge 0 2\n \t\n edge 0 1 \nedge 2 1\n")
+        assert indented.edges == g.edges
 
     def test_missing_header(self):
         with pytest.raises(FormatError):
@@ -295,9 +344,23 @@ class TestGraphFiles:
 
     @pytest.mark.parametrize("text, message", [
         ("# map\n\nedge 0 1\n", "line 3: expected 'cells <N>' header, got 'edge 0 1'"),
+        ("  cells 3 4 \n", "line 1: expected 'cells <N>' header, got 'cells 3 4'"),
+        ("\tcell 3\n", "line 1: expected 'cells <N>' header, got 'cell 3'"),
         ("\ncells x\n", "line 2: bad cell count 'x'"),
         ("cells 0\n", "line 1: cell count must be positive"),
+        ("cells -2\nedge 0 1\n", "line 1: cell count must be positive"),
+        ("cells 3\n edge 0 \n", "line 2: expected 'edge <a> <b>', got 'edge 0'"),
+        ("cells 3\nedge 0 1 2\n", "line 2: expected 'edge <a> <b>', got 'edge 0 1 2'"),
+        ("cells 3\nlink 0 1\n", "line 2: expected 'edge <a> <b>', got 'link 0 1'"),
         ("cells 3\n# c\n\n  edge 0 x\n", "line 4: bad edge endpoints in 'edge 0 x'"),
+        ("cells 3\nedge 1.0 2\n", "line 2: bad edge endpoints in 'edge 1.0 2'"),
+        ("cells 3\nedge 0 1\nedge 2 2\n", "line 3: self-loop on cell 2"),
+        ("cells 3\nedge 0 3\n", "line 2: edge 0 3 outside 0..2"),
+        ("cells 3\nedge -1 2\n", "line 2: edge -1 2 outside 0..2"),
+        ("cells 3\nedge 0 1\nedge 0 1\n", "line 3: duplicate edge 0 1"),
+        ("cells 3\nedge 0 1\n  # edge 1 0\nedge 1 0\n", "line 4: duplicate edge 1 0"),
+        ("", "empty graph file"),
+        ("# only a comment\n\n   \n\t# indented\n", "empty graph file"),
     ])
     def test_errors_count_raw_lines(self, text, message):
         with pytest.raises(FormatError) as exc:
