@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable
 
 from .errors import DomainError
 from .graph import CellGraph
@@ -26,24 +25,14 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
     graph. Each position contributes the hop distance between the two cells
     divided by the graph diameter, and 0 when both sit on the same cell.
     """
-    # BFS levels are reused within this call only: a graph-wide cache would
-    # keep a V-long list for every cell any pattern ever used.
-    return _tiakas_net(a, b, graph, graph.hop_lookup())
-
-
-def _tiakas_net(
-    a: MobilityPattern,
-    b: MobilityPattern,
-    graph: CellGraph,
-    hop_distance: Callable[[int, int], int],
-) -> float:
-    """tiakas_net with its hop lookup given, so that a caller scoring many
-    pairs can run each source cell's BFS once."""
     if len(a) != len(b):
         raise DomainError(
             f"patterns must have equal length, got {len(a)} and {len(b)}"
         )
     dia = graph.diameter()
+    # BFS levels are reused within this call only: a graph-wide cache would
+    # keep a V-long list for every cell any pattern ever used.
+    hop_distance = graph.hop_lookup()
     terms = []
     for va, vb in zip(a.cells, b.cells):
         # Every cell is looked up, even where both patterns sit on it. Hop
@@ -83,19 +72,8 @@ def tiakas_total(
     weights: Weights | None = None,
 ) -> float:
     """Weighted combination of the network and time distances."""
-    return _tiakas_total(a, b, graph, weights, graph.hop_lookup())
-
-
-def _tiakas_total(
-    a: MobilityPattern,
-    b: MobilityPattern,
-    graph: CellGraph,
-    weights: Weights | None,
-    hop_distance: Callable[[int, int], int],
-) -> float:
-    """tiakas_total with its hop lookup given, as in _tiakas_net."""
     w = DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * _tiakas_net(a, b, graph, hop_distance) + w.time * tiakas_time(a, b)
+    return w.space * tiakas_net(a, b, graph) + w.time * tiakas_time(a, b)
 
 
 def oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:

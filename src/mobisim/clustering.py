@@ -27,15 +27,15 @@ class Measure:
     """A measure's function and the inputs it reads besides the two patterns.
 
     fn takes (a, b), then the graph if reads_graph, then the weights if
-    reads_weights, then the graph's hop_lookup() if reads_graph, which a
-    caller scoring many pairs can share between them. similarity marks the
-    raw-unit similarities, integer counts that read only the two patterns;
-    every other measure is a [0,1] dissimilarity. cell_local marks a
-    measure that reads only the cells two patterns share, so it has one
-    value on every pair that shares no cell; the positional measures are
-    not cell-local. table, given the patterns and the graph and weights
-    as fn takes them, gives a positional measure's whole matrix at once,
-    or None when some pair may fail, so that the pair loop runs.
+    reads_weights. similarity marks the raw-unit similarities, integer
+    counts that read only the two patterns; every other measure is a [0,1]
+    dissimilarity. cell_local marks a measure that reads only the cells two
+    patterns share, so it has one value on every pair that shares no cell;
+    the positional measures are not cell-local. table, given the patterns
+    and the graph and weights as fn takes them, gives a positional
+    measure's whole matrix at once; or, when a pair fails, the index j of
+    the first failing pair (0, j), on which fn names the failure; or None
+    when its sums might not be exact, so that the pair loop runs.
     """
 
     fn: Callable[..., float]
@@ -43,7 +43,7 @@ class Measure:
     reads_weights: bool = False
     similarity: bool = False
     cell_local: bool = False
-    table: Callable[..., np.ndarray | None] | None = None
+    table: Callable[..., np.ndarray | int | None] | None = None
 
 
 # A term is split into 30-bit limbs, and no temporary of the pair sums
@@ -89,28 +89,43 @@ def _exact_means(
     return values
 
 
-def _equal_length(patterns: Sequence[MobilityPattern]) -> int | None:
+def _first_failing(
+    patterns: Sequence[MobilityPattern], graph: CellGraph | None, points: int
+) -> int | None:
+    """The first pattern a tiakas measure fails on, or None if none does.
+
+    Each precondition tests one pattern: a length equal to pattern 0's and
+    at least points long, and, given a graph, a connected graph holding
+    every cell. So a row-major pair loop first fails on (0, j), where j is
+    the first pattern failing one, or 0 when pattern 0 or the graph does.
+    """
+    if graph is not None:
+        try:
+            graph.diameter()
+        except GraphNotConnectedError:
+            return 0
     length = len(patterns[0])
-    return length if all(len(p) == length for p in patterns) else None
+    if length < points:
+        return 0
+    for j, p in enumerate(patterns):
+        if len(p) != length or graph is not None and max(p.cells) >= graph.vertex_count:
+            return j
+    return None
 
 
 def _tiakas_net_table(
     patterns: Sequence[MobilityPattern], graph: CellGraph
-) -> np.ndarray | None:
+) -> np.ndarray | int | None:
     """tiakas_net on every pair: one hop table over the cells in use, whose
     entries index the dia + 1 possible terms."""
-    if _equal_length(patterns) is None:
-        return None
-    try:
-        dia = graph.diameter()
-    except GraphNotConnectedError:
-        return None
+    failing = _first_failing(patterns, graph, 1)
+    if failing is not None:
+        return failing
+    dia = graph.diameter()
     # Each cell's row in the hop table; a dict, since np.unique alone adds
     # about 0.75 MB of resident memory to a process.
     code: dict[int, int] = {}
     codes = np.array([[code.setdefault(c, len(code)) for c in p.cells] for p in patterns])
-    if max(code) >= graph.vertex_count:
-        return None
     terms = [h / dia if h else 0.0 for h in range(dia + 1)]
     return _exact_means(codes, graph.hop_table(list(code)), terms)
 
@@ -119,13 +134,13 @@ def _tiakas_net_table(
 _STEP_PICK = np.arange(SLOT_COUNT**2).reshape(SLOT_COUNT, SLOT_COUNT)
 
 
-def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray | None:
+def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray | int | None:
     """tiakas_time on every pair, from each pattern's slot increments; the
     term of every increment pair (0..10, 0..10) is taken from tiakas_time
     itself on two-point patterns."""
-    length = _equal_length(patterns)
-    if length is None or length < 2:
-        return None
+    failing = _first_failing(patterns, None, 2)
+    if failing is not None:
+        return failing
     steps = [MobilityPattern([(0, 1), (0, 1 + d)]) for d in range(SLOT_COUNT)]
     terms = [baselines.tiakas_time(a, b) for a in steps for b in steps]
     increments = np.diff(np.array([p.slots for p in patterns]), axis=1)
@@ -134,11 +149,13 @@ def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray | None
 
 def _tiakas_total_table(
     patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
-) -> np.ndarray | None:
+) -> np.ndarray | int | None:
     """tiakas_total on every pair, from the net and time tables."""
-    time = _tiakas_time_table(patterns)
-    net = None if time is None else _tiakas_net_table(patterns, graph)
-    if net is None:
+    failing = _first_failing(patterns, graph, 2)
+    if failing is not None:
+        return failing
+    net, time = _tiakas_net_table(patterns, graph), _tiakas_time_table(patterns)
+    if net is None or time is None:
         return None
     w = DEFAULT_WEIGHTS if weights is None else weights
     return w.space * net + w.time * time
@@ -151,11 +168,11 @@ MEASURE_TABLE: dict[str, Measure] = {
         measures.weighted_dissimilarity, reads_weights=True, cell_local=True
     ),
     "tiakas-net": Measure(
-        baselines._tiakas_net, reads_graph=True, table=_tiakas_net_table
+        baselines.tiakas_net, reads_graph=True, table=_tiakas_net_table
     ),
     "tiakas-time": Measure(baselines.tiakas_time, table=_tiakas_time_table),
     "tiakas-total": Measure(
-        baselines._tiakas_total,
+        baselines.tiakas_total,
         reads_graph=True,
         reads_weights=True,
         table=_tiakas_total_table,
@@ -194,9 +211,6 @@ def resolve_measure(
     if spec.similarity:
         return lambda a, b: float(fn(a, b))
     extra = _extra(spec, graph, weights)
-    if spec.reads_graph:
-        # A hop lookup per call: BFS levels live no longer than one pair.
-        return lambda a, b: fn(a, b, *extra, graph.hop_lookup())
     if not extra:
         return fn
     return lambda a, b: fn(a, b, *extra)
@@ -266,9 +280,10 @@ def build_matrix(
     as in Bayardo, Ma & Srikant, WWW 2007), and the measure runs on those
     alone. Every other pair gets the measure's value on _DISJOINT_PAIR,
     the same as on any pair sharing no cell. The tiakas measures have a
-    table function that computes every pair at once; where it cannot vouch
-    that no pair fails, they run on every pair i <= j, sharing one hop
-    lookup so that each source cell's BFS runs once. Candidates run in
+    table function that computes every pair at once. When a pair fails,
+    the table names the first failing pair (0, j), and the measure runs on
+    that pair alone to raise its error; the pair loop over every i <= j
+    runs only when the table's sums might not be exact. Candidates run in
     row-major order, so a failing measure names the first pair that a full
     row-major scan would.
 
@@ -285,22 +300,19 @@ def build_matrix(
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
-    extra = _extra(spec, graph, weights)
     values = None
     if spec.table is not None:
-        values = spec.table(patterns, *extra)
-    if values is None:
-        if spec.reads_graph:
-            # One hop lookup for the whole loop: each source cell's BFS runs
-            # once, not once per pair.
-            hops = graph.hop_lookup()
-            fn = lambda a, b: spec.fn(a, b, *extra, hops)
+        values = spec.table(patterns, *_extra(spec, graph, weights))
+    if not isinstance(values, np.ndarray):
         if spec.cell_local:
             rows, cols = _sharing_pairs(patterns)
-            values = np.full((n, n), fn(*_DISJOINT_PAIR), dtype=np.float64)
+            fill = fn(*_DISJOINT_PAIR)
         else:
-            rows, cols = np.triu_indices(n)
-            values = np.empty((n, n), dtype=np.float64)
+            # Pair (0, values) fails, or the table's sums might not be exact.
+            # NaN marks every entry the loop leaves unset.
+            rows, cols = np.triu_indices(n) if values is None else np.array([[0], [values]])
+            fill = np.nan
+        values = np.full((n, n), fill, dtype=np.float64)
         found = []
         for i, j in zip(rows.tolist(), cols.tolist()):
             try:

@@ -24,8 +24,9 @@ class CellGraph:
 
     Immutable after construction. Only the diameter value is cached: BFS
     levels live no longer than the call, or the `hop_lookup` function, that
-    asked for them, so memory never grows with the sources queried. Edges
-    are stored both ways: adding (a, b) implies (b, a).
+    asked for them, so memory never grows with the sources queried; a
+    tiakas_net call keeps one lookup, and a tiakas matrix reads hop_table.
+    Edges are stored both ways: adding (a, b) implies (b, a).
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
@@ -171,7 +172,9 @@ class CellGraph:
         One bit-parallel BFS from all U cells at once (_bit_bfs): entry
         (i, j) counts the levels after which cell i still lacked cell j's
         bit, which is their distance; the graph is undirected, so the table
-        is symmetric. Memory is O(V * U / 64 + U^2).
+        is symmetric. Memory is O(V * (U / 64 + max degree) + U^2): the
+        neighbour array pads every cell to the largest degree, 30.5 MB of
+        the 34.5 MB peak for two cells of a 2000-cell star.
         """
         cells = [self._check_cell(c) for c in cells]
         u = len(cells)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobisim import baselines, measures
+from mobisim import baselines, clustering, measures
 from mobisim.clustering import (
     _DISJOINT_PAIR,
     MEASURE_TABLE,
@@ -324,14 +324,15 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def outcome(build, pats, name, weights, graph=ORACLE_GRID):
-    """The values build gives, or the text of the DomainError it raises."""
-    ids = [f"q{i:02d}" for i in range(len(pats))]
+def outcome(build, pats, name, weights, graph=ORACLE_GRID, named=True):
+    """The values build gives, or the text of the DomainError it raises;
+    the patterns are named q00, q01, ... unless named is false."""
+    ids = [f"q{i:02d}" for i in range(len(pats))] if named else None
     try:
         m = build(pats, name, graph=graph, weights=weights, ids=ids)
     except DomainError as exc:
         return str(exc)
-    assert m.ids == tuple(ids)
+    assert m.ids == (ids and tuple(ids))
     return m.values
 
 
@@ -461,6 +462,30 @@ def slot_walks(rng, graph, count, length):
     return walks
 
 
+# A connected and a disconnected graph on cells 0..5.
+FAULT_GRAPHS = (
+    CellGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
+    CellGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+)
+
+
+@st.composite
+def failing_traces(draw):
+    """Up to six patterns on cells 0..5 of a common length, of which any,
+    pattern 0 included, may break a tiakas precondition: one point, another
+    length, or a cell off FAULT_GRAPHS at some position, or two of these."""
+    length = draw(st.integers(2, 4))
+    pats = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.sampled_from([length, length, 1, length + 1]))
+        cells = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+        if draw(st.integers(0, 3)) == 0:
+            cells[draw(st.integers(0, size - 1))] = draw(st.integers(6, 9))
+        slots = sorted(draw(st.lists(st.integers(1, 11), min_size=size, max_size=size)))
+        pats.append(make_pattern(list(zip(cells, slots))))
+    return pats
+
+
 class TestTiakasTables:
     """build_matrix computes the tiakas measures for every pair at once from
     a hop table and integer sums; each value must be the per-pair function's
@@ -527,9 +552,11 @@ class TestTiakasTables:
         ([(1600, t) for t in range(1, 11)], "cell id 1600 out of range for graph with 1600 cells"),
         ([(0, t) for t in range(1, 10)], "patterns must have equal length, got 10 and 9"),
     ])
-    def test_pair_loop_runs_one_bfs_per_source_cell(self, last, reason, monkeypatch):
-        # With a fresh hop lookup per pair, row 0 reran the BFS of each cell
-        # of walk 0 for every pair: about 2000 BFS runs and 1 s here.
+    def test_failing_pair_runs_no_bfs(self, last, reason, monkeypatch):
+        # A pair loop sharing one hop lookup ran the BFS of each cell of
+        # walk 0 before it reached the last walk: 7 BFS runs here, and about
+        # 2000 with a fresh lookup per pair. The table names pair (0, 299),
+        # whose error comes before any hop is looked up.
         g = hex_grid(40, 40)
         rng = random.Random(9)
         pats = [make_pattern(grid_walk(rng, g, 10)) for _ in range(299)]
@@ -543,14 +570,52 @@ class TestTiakasTables:
 
         monkeypatch.setattr(CellGraph, "_bfs", counted)
         for name in ("tiakas-net", "tiakas-total"):
-            runs.clear()
             got = outcome(build_matrix, pats, name, None, g)
             assert got == f"measure {name!r} failed for patterns 'q00' and 'q299': {reason}"
-            assert len(runs) == len(set(runs)) <= len(set(pats[0].cells))
-            short = pats[:30] + pats[-1:]
+            assert runs == []
+        short = pats[:30] + pats[-1:]
+        for name in ("tiakas-net", "tiakas-total"):
             assert outcome(build_matrix, short, name, None, g) == (
                 outcome(brute_build_matrix, short, name, None, g)
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(failing_traces(), st.sampled_from(FAULT_GRAPHS), st.booleans())
+    def test_competing_failures_name_the_loops_pair(self, pats, graph, named):
+        for name in TIAKAS:
+            want = outcome(brute_build_matrix, pats, name, None, graph, named)
+            got = outcome(build_matrix, pats, name, None, graph, named)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert same_bits(got, want)
+
+    def test_inexact_sums_run_the_pair_loop(self, monkeypatch):
+        # A 52-bit low limb trips the exactness guard for every length >= 2,
+        # so the tables give None and the pair loop builds the matrix.
+        monkeypatch.setattr(clustering, "_LIMB", 52)
+        exact_means, calls = clustering._exact_means, []
+
+        def recorded(codes, pick, terms):
+            values = exact_means(codes, pick, terms)
+            calls.append((codes.shape[1], values is None))
+            return values
+
+        monkeypatch.setattr(clustering, "_exact_means", recorded)
+        rng = random.Random("tiakas/inexact")
+        g = random_connected_graph(rng, 6, 40)
+        for length in (1, 2, 3, 70):
+            assert_tables_match(slot_walks(rng, g, rng.randint(1, 7), length), g)
+        assert (70, True) in calls
+        assert all(missing == (terms >= 2) for terms, missing in calls)
+        # Walk 3 leaves the graph and walk 5 is one point short.
+        pats = slot_walks(rng, g, 5, 4)
+        pats[3] = make_pattern([(g.vertex_count, 1)] * 4)
+        pats.append(make_pattern([(0, 1)] * 3))
+        for name, j in (("tiakas-net", 3), ("tiakas-time", 5), ("tiakas-total", 3)):
+            want = outcome(brute_build_matrix, pats, name, None, g)
+            assert f"'q00' and 'q0{j}'" in want
+            assert outcome(build_matrix, pats, name, None, g) == want
 
     def test_matrix_leaves_no_levels_on_the_graph(self):
         # A graph-wide BFS cache kept a 900-long level list for each of the
