@@ -33,14 +33,24 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
     # BFS levels are reused within this call only: a graph-wide cache would
     # keep a V-long list for every cell any pattern ever used.
     hop_distance = graph.hop_lookup()
-    terms = []
-    for va, vb in zip(a.cells, b.cells):
-        # Every cell is looked up, even where both patterns sit on it. Hop
-        # distance is symmetric on the undirected graph, and 0 hops is 0.0,
-        # so a one-cell graph (diameter 0) never divides by 0.
-        hops = hop_distance(va, vb)
-        terms.append(hops / dia if hops else 0.0)
+    # Every cell is looked up, even where both patterns sit on it. Hop
+    # distance is symmetric on the undirected graph.
+    terms = [net_term(hop_distance(va, vb), dia) for va, vb in zip(a.cells, b.cells)]
     return math.fsum(terms) / len(terms)
+
+
+def net_term(hops: int, dia: int) -> float:
+    """One position's tiakas_net term: hops / dia, and 0.0 for 0 hops, so a
+    one-cell graph (diameter 0) never divides by 0."""
+    return hops / dia if hops else 0.0
+
+
+# TIME_TERMS[da][db] is tiakas_time's term for slot increments da and db,
+# each 0..SLOT_COUNT - 1, since slots never decrease.
+TIME_TERMS = [
+    [0.0 if da == db == 0 else abs(da - db) / max(da, db) for db in range(SLOT_COUNT)]
+    for da in range(SLOT_COUNT)
+]
 
 
 def tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
@@ -56,12 +66,10 @@ def tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
         )
     if len(a) < 2:
         raise DomainError("patterns need at least two points")
-    slots_a, slots_b = a.slots, b.slots
-    terms = []
-    for i in range(len(a) - 1):
-        da = slots_a[i + 1] - slots_a[i]
-        db = slots_b[i + 1] - slots_b[i]
-        terms.append(0.0 if da == db == 0 else abs(da - db) / max(da, db))
+    sa, sb = a.slots, b.slots
+    terms = [
+        TIME_TERMS[a1 - a0][b1 - b0] for a0, a1, b0, b1 in zip(sa, sa[1:], sb, sb[1:])
+    ]
     return math.fsum(terms) / len(terms)
 
 

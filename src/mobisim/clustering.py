@@ -29,21 +29,19 @@ class Measure:
     fn takes (a, b), then the graph if reads_graph, then the weights if
     reads_weights. similarity marks the raw-unit similarities, integer
     counts that read only the two patterns; every other measure is a [0,1]
-    dissimilarity. cell_local marks a measure that reads only the cells two
-    patterns share, so it has one value on every pair that shares no cell;
-    the positional measures are not cell-local. table, given the patterns
-    and the graph and weights as fn takes them, gives a positional
-    measure's whole matrix at once; or, when a pair fails, the index j of
-    the first failing pair (0, j), on which fn names the failure; or None
-    when its sums might not be exact, so that the pair loop runs.
+    dissimilarity. table, given the patterns and the graph and weights as fn
+    takes them, gives a positional measure's whole matrix at once, or, when
+    a pair fails, the index j of the first failing pair (0, j), on which fn
+    names the failure. A measure without a table is cell-local: it reads
+    only the cells two patterns share, so it has one value on every pair
+    that shares no cell.
     """
 
     fn: Callable[..., float]
     reads_graph: bool = False
     reads_weights: bool = False
     similarity: bool = False
-    cell_local: bool = False
-    table: Callable[..., np.ndarray | int | None] | None = None
+    table: Callable[..., np.ndarray | int] | None = None
 
 
 # A term is split into 30-bit limbs, and no temporary of the pair sums
@@ -52,40 +50,41 @@ _LIMB = 30
 _CHUNK = 1 << 16
 
 
-def _exact_means(
-    codes: np.ndarray, pick: np.ndarray, terms: list[float]
-) -> np.ndarray | None:
+def _exact_means(codes: np.ndarray, pick: np.ndarray, terms: list[float]) -> np.ndarray:
     """values[i, j] = math.fsum(terms[pick[codes[i, l], codes[j, l]]] for
-    each of the L columns l) / L, bit for bit, for every pair at once; None
-    if the sums might not be exact.
+    each of the L columns l) / L, bit for bit, for every pair at once.
 
     Every term is a non-negative double, so each is an integer multiple k of
-    2**-e for the largest e any of them needs. Each pair's k's are summed
-    in two int64 limbs, k = hi * 2**30 + lo. While both limb sums stay
-    below 2**53 each is an exact double, and one float addition of the two
-    scaled sums rounds their exact total once, which is what fsum returns.
-    Rows are taken in chunks, so memory grows with n^2, not n^2 * L.
+    2**-e for the largest e any of them needs, and fsum returns a pair's
+    exact sum of k's times 2**-e, rounded once. While they stay below 2**53,
+    the k's are summed in two int64 limbs, k = hi * 2**30 + lo: each limb
+    sum is an exact double, and one float addition of the two scaled sums
+    rounds their exact total once. Past that bound they are summed as
+    Python ints, and one int division by 2**e rounds each total once. Rows
+    are taken in chunks, so memory grows with n^2, not n^2 * L.
     """
     ratios = [t.as_integer_ratio() for t in terms]
     e = max(den.bit_length() - 1 for _, den in ratios)
     ks = [num << (e - den.bit_length() + 1) for num, den in ratios]
     n, length = codes.shape
-    if length * max(max(ks) >> _LIMB, 1 << _LIMB) >= 2**53:
-        return None
-    hi = np.array([k >> _LIMB for k in ks], dtype=np.int64)
-    lo = np.array([k & ((1 << _LIMB) - 1) for k in ks], dtype=np.int64)
+    if length * max(max(ks) >> _LIMB, 1 << _LIMB) < 2**53:
+        hi = np.array([k >> _LIMB for k in ks], dtype=np.int64)
+        lo = np.array([k & ((1 << _LIMB) - 1) for k in ks], dtype=np.int64)
+        limbs = (hi, lo)
+        scale = lambda hi_sum, lo_sum: hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
+    else:
+        limbs = (np.array(ks, dtype=object),)
+        scale = lambda total: total / (1 << e)
     values = np.empty((n, n))
     step = max(1, _CHUNK // n)
     for start in range(0, n, step):
         rows = codes[start : start + step]
-        hi_sum = np.zeros((len(rows), n), dtype=np.int64)
-        lo_sum = np.zeros((len(rows), n), dtype=np.int64)
+        sums = [np.zeros((len(rows), n), dtype=limb.dtype) for limb in limbs]
         for a, b in zip(rows.T, codes.T):
             term = pick[a[:, None], b]
-            hi_sum += hi[term]
-            lo_sum += lo[term]
-        scaled = hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
-        values[start : start + step] = scaled / length
+            for total, limb in zip(sums, limbs):
+                total += limb[term]
+        values[start : start + step] = scale(*sums) / length
     return values
 
 
@@ -115,7 +114,7 @@ def _first_failing(
 
 def _tiakas_net_table(
     patterns: Sequence[MobilityPattern], graph: CellGraph
-) -> np.ndarray | int | None:
+) -> np.ndarray | int:
     """tiakas_net on every pair: one hop table over the cells in use, whose
     entries index the dia + 1 possible terms."""
     failing = _first_failing(patterns, graph, 1)
@@ -126,7 +125,7 @@ def _tiakas_net_table(
     # about 0.75 MB of resident memory to a process.
     code: dict[int, int] = {}
     codes = np.array([[code.setdefault(c, len(code)) for c in p.cells] for p in patterns])
-    terms = [h / dia if h else 0.0 for h in range(dia + 1)]
+    terms = [baselines.net_term(h, dia) for h in range(dia + 1)]
     return _exact_means(codes, graph.hop_table(list(code)), terms)
 
 
@@ -134,39 +133,33 @@ def _tiakas_net_table(
 _STEP_PICK = np.arange(SLOT_COUNT**2).reshape(SLOT_COUNT, SLOT_COUNT)
 
 
-def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray | int | None:
-    """tiakas_time on every pair, from each pattern's slot increments; the
-    term of every increment pair (0..10, 0..10) is taken from tiakas_time
-    itself on two-point patterns."""
+def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray | int:
+    """tiakas_time on every pair, from each pattern's slot increments and
+    the term of each increment pair in baselines.TIME_TERMS."""
     failing = _first_failing(patterns, None, 2)
     if failing is not None:
         return failing
-    steps = [MobilityPattern([(0, 1), (0, 1 + d)]) for d in range(SLOT_COUNT)]
-    terms = [baselines.tiakas_time(a, b) for a in steps for b in steps]
+    terms = [t for row in baselines.TIME_TERMS for t in row]
     increments = np.diff(np.array([p.slots for p in patterns]), axis=1)
     return _exact_means(increments, _STEP_PICK, terms)
 
 
 def _tiakas_total_table(
     patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
-) -> np.ndarray | int | None:
+) -> np.ndarray | int:
     """tiakas_total on every pair, from the net and time tables."""
     failing = _first_failing(patterns, graph, 2)
     if failing is not None:
         return failing
     net, time = _tiakas_net_table(patterns, graph), _tiakas_time_table(patterns)
-    if net is None or time is None:
-        return None
     w = DEFAULT_WEIGHTS if weights is None else weights
     return w.space * net + w.time * time
 
 
 MEASURE_TABLE: dict[str, Measure] = {
-    "space": Measure(measures.spatial_dissimilarity, cell_local=True),
-    "time": Measure(measures.temporal_dissimilarity, cell_local=True),
-    "composite": Measure(
-        measures.weighted_dissimilarity, reads_weights=True, cell_local=True
-    ),
+    "space": Measure(measures.spatial_dissimilarity),
+    "time": Measure(measures.temporal_dissimilarity),
+    "composite": Measure(measures.weighted_dissimilarity, reads_weights=True),
     "tiakas-net": Measure(
         baselines.tiakas_net, reads_graph=True, table=_tiakas_net_table
     ),
@@ -177,9 +170,9 @@ MEASURE_TABLE: dict[str, Measure] = {
         reads_weights=True,
         table=_tiakas_total_table,
     ),
-    "oss": Measure(baselines.oss, cell_local=True),
-    "lcss": Measure(baselines.lcss, similarity=True, cell_local=True),
-    "cvti": Measure(baselines.cvti, similarity=True, cell_local=True),
+    "oss": Measure(baselines.oss),
+    "lcss": Measure(baselines.lcss, similarity=True),
+    "cvti": Measure(baselines.cvti, similarity=True),
 }
 
 MEASURES: tuple[str, ...] = tuple(MEASURE_TABLE)
@@ -282,10 +275,9 @@ def build_matrix(
     the same as on any pair sharing no cell. The tiakas measures have a
     table function that computes every pair at once. When a pair fails,
     the table names the first failing pair (0, j), and the measure runs on
-    that pair alone to raise its error; the pair loop over every i <= j
-    runs only when the table's sums might not be exact. Candidates run in
-    row-major order, so a failing measure names the first pair that a full
-    row-major scan would.
+    that pair alone to raise its error. Candidates run in row-major order,
+    so a failing measure names the first pair that a full row-major scan
+    would.
 
     The index and the tables are plain Python and numpy: importing
     scipy.sparse alone costs more time and memory than building the whole
@@ -300,27 +292,26 @@ def build_matrix(
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
-    values = None
-    if spec.table is not None:
+    if spec.table is None:
+        rows, cols = _sharing_pairs(patterns)
+        fill = fn(*_DISJOINT_PAIR)
+    else:
         values = spec.table(patterns, *_extra(spec, graph, weights))
-    if not isinstance(values, np.ndarray):
-        if spec.cell_local:
-            rows, cols = _sharing_pairs(patterns)
-            fill = fn(*_DISJOINT_PAIR)
-        else:
-            # Pair (0, values) fails, or the table's sums might not be exact.
-            # NaN marks every entry the loop leaves unset.
-            rows, cols = np.triu_indices(n) if values is None else np.array([[0], [values]])
-            fill = np.nan
-        values = np.full((n, n), fill, dtype=np.float64)
-        found = []
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            try:
-                found.append(fn(patterns[i], patterns[j]))
-            except DomainError as exc:
-                raise pair_failed(measure, names[i], names[j], exc) from exc
-        values[rows, cols] = found
-        values[cols, rows] = found
+        if isinstance(values, np.ndarray):
+            values.setflags(write=False)
+            return DissimilarityMatrix(values=values, ids=ids)
+        # Pair (0, values) fails. NaN marks every entry the loop leaves
+        # unset, so a pair on which fn does not fail fails the finite check.
+        rows, cols, fill = np.array([0]), np.array([values]), np.nan
+    values = np.full((n, n), fill, dtype=np.float64)
+    found = []
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        try:
+            found.append(fn(patterns[i], patterns[j]))
+        except DomainError as exc:
+            raise pair_failed(measure, names[i], names[j], exc) from exc
+    values[rows, cols] = found
+    values[cols, rows] = found
     values.setflags(write=False)
     return DissimilarityMatrix(values=values, ids=ids)
 

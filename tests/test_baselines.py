@@ -337,3 +337,29 @@ def test_tiakas_net_matches_per_position_definition():
                 for ca, cb in zip(x.cells, y.cells)
             ]
             assert tiakas_net(x, y, g) == math.fsum(terms) / length
+
+
+def per_step_tiakas_time(a, b):
+    """tiakas_time straight from its definition on the slots: per step, the
+    gap between the two increments over the larger, 0 where both are 0."""
+    terms = []
+    for i in range(len(a) - 1):
+        da, db = a.slots[i + 1] - a.slots[i], b.slots[i + 1] - b.slots[i]
+        terms.append(0.0 if da == db == 0 else abs(da - db) / max(da, db))
+    return math.fsum(terms) / (len(a) - 1)
+
+
+def test_tiakas_time_matches_per_step_definition_on_every_increment_pair():
+    for da in range(11):
+        for db in range(11):
+            a = make_pattern([(0, 1), (0, 1 + da)])
+            b = make_pattern([(1, 1), (1, 1 + db)])
+            assert tiakas_time(a, b) == per_step_tiakas_time(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern_pairs(max_len=30, equal_length=True).filter(lambda pair: len(pair[0]) > 1))
+def test_tiakas_time_matches_per_step_definition(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert tiakas_time(x, y) == per_step_tiakas_time(x, y)

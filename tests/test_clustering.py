@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mobisim import baselines, clustering, measures
 from mobisim.clustering import (
@@ -420,7 +421,7 @@ class TestBuildMatrixOracle:
         assert outcome(build_matrix, pats, name, None) == want
 
     @pytest.mark.parametrize(
-        "name", [n for n, spec in MEASURE_TABLE.items() if spec.cell_local]
+        "name", [n for n, spec in MEASURE_TABLE.items() if spec.table is None]
     )
     def test_disjoint_value_is_the_measures_value(self, name):
         rng = random.Random(f"disjoint/{name}")
@@ -484,6 +485,49 @@ def failing_traces(draw):
         slots = sorted(draw(st.lists(st.integers(1, 11), min_size=size, max_size=size)))
         pats.append(make_pattern(list(zip(cells, slots))))
     return pats
+
+
+# Non-negative finite terms: any double up to 2**1000, so that a dozen sum
+# without overflow, subnormals, and the integers and fractions of the real
+# tables. Mixed, they put a term's integer k anywhere from 0 past 2**1000.
+exact_terms = st.one_of(
+    st.floats(0.0, 2.0**1000).map(abs),
+    st.sampled_from([0.0, 5e-324, 3 * 5e-324, 2.0**-1022, 1 / 3, 0.5, 1.0]),
+    st.integers(0, 2**70).map(float),
+)
+
+
+def int_rows(high, rows, cols):
+    """rows lists of cols ints in 0..high."""
+    row = st.lists(st.integers(0, high), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@st.composite
+def exact_mean_inputs(draw):
+    """codes (n x L, in 0..U-1), pick (U x U, into terms) and terms."""
+    n, length, u = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    terms = draw(st.lists(exact_terms, min_size=1, max_size=5))
+    codes = draw(int_rows(u - 1, n, length))
+    pick = draw(int_rows(len(terms) - 1, u, u))
+    return np.array(codes), np.array(pick), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_mean_inputs())
+# One input within the int64 limb bound and one past it, where 5e-324 makes
+# the integer of 1.0 2**1074.
+@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [1 / 3, 0.5, 1.0]))
+@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [5e-324, 0.5, 1.0]))
+def test_exact_means_is_the_fsum_mean(inputs):
+    codes, pick, terms = inputs
+    n, length = codes.shape
+    want = np.array([
+        [math.fsum(terms[pick[codes[i, l], codes[j, l]]] for l in range(length)) / length
+         for j in range(n)]
+        for i in range(n)
+    ])
+    assert same_bits(clustering._exact_means(codes, pick, terms), want)
 
 
 class TestTiakasTables:
@@ -590,24 +634,33 @@ class TestTiakasTables:
             else:
                 assert same_bits(got, want)
 
-    def test_inexact_sums_run_the_pair_loop(self, monkeypatch):
-        # A 52-bit low limb trips the exactness guard for every length >= 2,
-        # so the tables give None and the pair loop builds the matrix.
+    def test_sums_past_the_limb_bound_stay_exact(self, monkeypatch):
+        # With a 52-bit low limb, L * 2**52 >= 2**53 for every length L >= 2,
+        # so those tables sum Python ints instead of int64 limbs.
         monkeypatch.setattr(clustering, "_LIMB", 52)
-        exact_means, calls = clustering._exact_means, []
+        exact_means, lengths = clustering._exact_means, []
 
         def recorded(codes, pick, terms):
             values = exact_means(codes, pick, terms)
-            calls.append((codes.shape[1], values is None))
+            assert isinstance(values, np.ndarray)
+            lengths.append(codes.shape[1])
             return values
+
+        def no_lookup(self):
+            raise AssertionError("per-pair hop lookup")
 
         monkeypatch.setattr(clustering, "_exact_means", recorded)
         rng = random.Random("tiakas/inexact")
         g = random_connected_graph(rng, 6, 40)
         for length in (1, 2, 3, 70):
-            assert_tables_match(slot_walks(rng, g, rng.randint(1, 7), length), g)
-        assert (70, True) in calls
-        assert all(missing == (terms >= 2) for terms, missing in calls)
+            pats = slot_walks(rng, g, rng.randint(1, 7), length)
+            assert_tables_match(pats, g)
+            if length > 1:
+                with monkeypatch.context() as patched:
+                    patched.setattr(CellGraph, "hop_lookup", no_lookup)
+                    for name in TIAKAS:
+                        build_matrix(pats, name, graph=g)
+        assert 70 in lengths
         # Walk 3 leaves the graph and walk 5 is one point short.
         pats = slot_walks(rng, g, 5, 4)
         pats[3] = make_pattern([(g.vertex_count, 1)] * 4)
@@ -616,6 +669,32 @@ class TestTiakasTables:
             want = outcome(brute_build_matrix, pats, name, None, g)
             assert f"'q00' and 'q0{j}'" in want
             assert outcome(build_matrix, pats, name, None, g) == want
+
+    def test_trace_past_the_limb_bound_runs_no_bfs(self, monkeypatch):
+        # Terms h / 99992 need 68 fraction bits, so the term 1.0 is 2**68 and
+        # its high limb 2**38; 2**15 positions put the limb sums past 2**53.
+        # A pair loop ran a BFS over the whole path per source cell per pair.
+        size = 99993
+        g = CellGraph(size, [(i, i + 1) for i in range(size - 1)])
+        assert g.diameter() == size - 1
+        rng = random.Random(10)
+        pats = []
+        for _ in range(3):
+            cell, points = rng.randint(0, 3), []
+            for slot in sorted(rng.randint(1, 11) for _ in range(2**15)):
+                cell = min(3, max(0, cell + rng.choice((-1, 0, 1))))
+                points.append((cell, slot))
+            pats.append(make_pattern(points))
+        want = outcome(brute_build_matrix, pats, "tiakas-net", None, g)
+        bfs, runs = CellGraph._bfs, []
+
+        def counted(self, source):
+            runs.append(source)
+            return bfs(self, source)
+
+        monkeypatch.setattr(CellGraph, "_bfs", counted)
+        assert same_bits(outcome(build_matrix, pats, "tiakas-net", None, g), want)
+        assert runs == []
 
     def test_matrix_leaves_no_levels_on_the_graph(self):
         # A graph-wide BFS cache kept a 900-long level list for each of the
