@@ -9,8 +9,11 @@ as lcss, and the common-visit-time interval as cvti.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
+from operator import sub
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .graph import CellGraph
@@ -18,31 +21,127 @@ from .measures import DEFAULT_WEIGHTS, Weights, uncommon_cell_count
 from .patterns import SLOT_COUNT, MobilityPattern, slot_minutes
 
 
-def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> float:
-    """Network distance: mean per-position hop distance scaled by diameter.
+def _check_pair(
+    a: MobilityPattern, b: MobilityPattern, graph: CellGraph | None, points: int
+) -> None:
+    """Raise the error a tiakas measure gives on (a, b), if any.
 
-    Defined only for patterns of equal length whose cells are all in the
-    graph. Each position contributes the hop distance between the two cells
-    divided by the graph diameter, and 0 when both sit on the same cell.
+    In order: unequal lengths; given a graph, a disconnected graph, then
+    the first cell off it by position, a's before b's; then fewer than
+    points points (1 for tiakas_net, 2 for tiakas_time and tiakas_total).
     """
     if len(a) != len(b):
-        raise DomainError(
-            f"patterns must have equal length, got {len(a)} and {len(b)}"
-        )
-    dia = graph.diameter()
-    # BFS levels are reused within this call only: a graph-wide cache would
-    # keep a V-long list for every cell any pattern ever used.
-    hop_distance = graph.hop_lookup()
-    # Every cell is looked up, even where both patterns sit on it. Hop
-    # distance is symmetric on the undirected graph.
-    terms = [net_term(hop_distance(va, vb), dia) for va, vb in zip(a.cells, b.cells)]
-    return math.fsum(terms) / len(terms)
+        raise DomainError(f"patterns must have equal length, got {len(a)} and {len(b)}")
+    if graph is not None:
+        graph.diameter()
+        if max(a.cells) >= graph.vertex_count or max(b.cells) >= graph.vertex_count:
+            for va, vb in zip(a.cells, b.cells):
+                graph._check_cell(va)
+                graph._check_cell(vb)
+    if len(a) < points:
+        raise DomainError("patterns need at least two points")
+
+
+class _RowError(DomainError):
+    """args (j, error): a tiakas table's first failing pair (0, j) raised error."""
+
+
+def _check_row(
+    patterns: Sequence[MobilityPattern], graph: CellGraph | None, points: int
+) -> None:
+    """Raise _RowError for the first pair (0, j) that fails _check_pair.
+
+    Each precondition tests one pattern: a length equal to pattern 0's and
+    at least points long, and, given a graph, a connected graph holding
+    every cell. So a row-major pair loop first fails in row 0, on (0, j)
+    for the first failing pattern j, or on (0, 0) when pattern 0 or the
+    graph fails.
+    """
+    for j, p in enumerate(patterns):
+        try:
+            _check_pair(patterns[0], p, graph, points)
+        except DomainError as exc:
+            raise _RowError(j, exc) from exc
+
+
+# A term is split into 30-bit limbs, and no temporary of the pair sums
+# holds more than _CHUNK values.
+_LIMB = 30
+_CHUNK = 1 << 16
+
+
+def _exact_means(codes: np.ndarray, pick: np.ndarray, terms: list[float]) -> np.ndarray:
+    """values[i, j] = math.fsum(terms[pick[codes[i, l], codes[j, l]]] for
+    each of the L columns l) / L, bit for bit, for every pair at once.
+
+    Every term is a non-negative double, so each is an integer multiple k of
+    2**-e for the largest e any of them needs, and fsum returns a pair's
+    exact sum of k's times 2**-e, rounded once. While they stay below 2**53,
+    the k's are summed in two int64 limbs, k = hi * 2**30 + lo: each limb
+    sum is an exact double, and one float addition of the two scaled sums
+    rounds their exact total once. Past that bound they are summed as
+    Python ints, and one int division by 2**e rounds each total once.
+    Integer sums are exact in any order, so each chunk of rows sums blocks
+    of columns at once, no temporary holding more than about _CHUNK values:
+    memory grows with n^2, not n^2 * L.
+    """
+    ratios = [t.as_integer_ratio() for t in terms]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    ks = np.array([num << (e - den.bit_length() + 1) for num, den in ratios], dtype=object)
+    n, length = codes.shape
+    if length * max(ks.max() >> _LIMB, 1 << _LIMB) < 2**53:
+        limbs = ((ks >> _LIMB).astype(np.int64), (ks & (1 << _LIMB) - 1).astype(np.int64))
+        scale = lambda hi_sum, lo_sum: hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
+    else:
+        limbs = (ks,)
+        scale = lambda total: total / (1 << e)
+    values = np.empty((n, n))
+    step = max(1, _CHUNK // n)
+    for start in range(0, n, step):
+        rows = codes[start : start + step, None]
+        width = max(1, _CHUNK // (len(rows) * n))
+        sums = [0] * len(limbs)
+        for col in range(0, length, width):
+            term = pick[rows[..., col : col + width], codes[:, col : col + width]]
+            sums = [total + limb[term].sum(axis=2) for total, limb in zip(sums, limbs)]
+        values[start : start + step] = scale(*sums) / length
+    return values
 
 
 def net_term(hops: int, dia: int) -> float:
     """One position's tiakas_net term: hops / dia, and 0.0 for 0 hops, so a
     one-cell graph (diameter 0) never divides by 0."""
     return hops / dia if hops else 0.0
+
+
+def _coded(rows: Iterable[Iterable[int]]) -> tuple[np.ndarray, list[int]]:
+    """The rows as an array of codes, each value's code its rank in order
+    of first use, and the values in that order. A dict, since np.unique
+    alone adds about 0.75 MB of resident memory to a process."""
+    code: dict[int, int] = {}
+    codes = np.array([[code.setdefault(v, len(code)) for v in row] for row in rows])
+    return codes, list(code)
+
+
+def _tiakas_net_table(patterns: Sequence[MobilityPattern], graph: CellGraph) -> np.ndarray:
+    """tiakas_net on every pair: one hop table over the cells in use, whose
+    entries index the dia + 1 possible terms."""
+    _check_row(patterns, graph, 1)
+    dia = graph.diameter()
+    codes, cells = _coded(p.cells for p in patterns)
+    terms = [net_term(h, dia) for h in range(dia + 1)]
+    return _exact_means(codes, graph.hop_table(cells), terms)
+
+
+def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> float:
+    """Network distance: mean per-position hop distance scaled by diameter.
+
+    Defined only for patterns of equal length whose cells are all in a
+    connected graph. Each position contributes net_term of the hop distance
+    between its two cells, and the terms are summed exactly, as by fsum.
+    """
+    _check_pair(a, b, graph, 1)
+    return float(_tiakas_net_table([a, b], graph)[0, 1])
 
 
 # TIME_TERMS[da][db] is tiakas_time's term for slot increments da and db,
@@ -53,6 +152,16 @@ TIME_TERMS = [
 ]
 
 
+def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray:
+    """tiakas_time on every pair, from each pattern's slot increments and
+    the term in TIME_TERMS of every two increments in use."""
+    _check_row(patterns, None, 2)
+    codes, steps = _coded(map(sub, p.slots[1:], p.slots) for p in patterns)
+    pick = np.arange(len(steps) ** 2).reshape(len(steps), -1)
+    terms = [TIME_TERMS[da][db] for da in steps for db in steps]
+    return _exact_means(codes, pick, terms)
+
+
 def tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
     """Time distance: mean normalized gap between successive-step durations.
 
@@ -60,17 +169,17 @@ def tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
     of the other; a step where both increments are zero contributes zero.
     Needs equal lengths of at least two points.
     """
-    if len(a) != len(b):
-        raise DomainError(
-            f"patterns must have equal length, got {len(a)} and {len(b)}"
-        )
-    if len(a) < 2:
-        raise DomainError("patterns need at least two points")
-    sa, sb = a.slots, b.slots
-    terms = [
-        TIME_TERMS[a1 - a0][b1 - b0] for a0, a1, b0, b1 in zip(sa, sa[1:], sb, sb[1:])
-    ]
-    return math.fsum(terms) / len(terms)
+    _check_pair(a, b, None, 2)
+    return float(_tiakas_time_table([a, b])[0, 1])
+
+
+def _tiakas_total_table(
+    patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
+) -> np.ndarray:
+    """tiakas_total on every pair, from the net and time tables."""
+    _check_row(patterns, graph, 2)
+    w = DEFAULT_WEIGHTS if weights is None else weights
+    return w.space * _tiakas_net_table(patterns, graph) + w.time * _tiakas_time_table(patterns)
 
 
 def tiakas_total(
@@ -80,8 +189,8 @@ def tiakas_total(
     weights: Weights | None = None,
 ) -> float:
     """Weighted combination of the network and time distances."""
-    w = DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * tiakas_net(a, b, graph) + w.time * tiakas_time(a, b)
+    _check_pair(a, b, graph, 2)
+    return float(_tiakas_total_table([a, b], graph, weights)[0, 1])
 
 
 def oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:

@@ -14,10 +14,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines, measures
-from .errors import DomainError, GraphNotConnectedError, as_int
+from .errors import DomainError, as_int
 from .graph import CellGraph
-from .measures import DEFAULT_WEIGHTS, Weights
-from .patterns import SLOT_COUNT, MobilityPattern
+from .measures import Weights
+from .patterns import MobilityPattern
 
 MeasureFn = Callable[[MobilityPattern, MobilityPattern], float]
 
@@ -30,130 +30,18 @@ class Measure:
     reads_weights. similarity marks the raw-unit similarities, integer
     counts that read only the two patterns; every other measure is a [0,1]
     dissimilarity. table, given the patterns and the graph and weights as fn
-    takes them, gives a positional measure's whole matrix at once, or, when
-    a pair fails, the index j of the first failing pair (0, j), on which fn
-    names the failure. A measure without a table is cell-local: it reads
-    only the cells two patterns share, so it has one value on every pair
-    that shares no cell.
+    takes them, gives a positional measure's whole matrix at once; when a
+    pair fails it raises baselines._RowError, the error of the first
+    failing pair (0, j). A positional fn is its table on the one pair. A
+    measure without a table is cell-local: it reads only the cells two
+    patterns share, so it has one value on every pair that shares no cell.
     """
 
     fn: Callable[..., float]
     reads_graph: bool = False
     reads_weights: bool = False
     similarity: bool = False
-    table: Callable[..., np.ndarray | int] | None = None
-
-
-# A term is split into 30-bit limbs, and no temporary of the pair sums
-# holds more than _CHUNK values.
-_LIMB = 30
-_CHUNK = 1 << 16
-
-
-def _exact_means(codes: np.ndarray, pick: np.ndarray, terms: list[float]) -> np.ndarray:
-    """values[i, j] = math.fsum(terms[pick[codes[i, l], codes[j, l]]] for
-    each of the L columns l) / L, bit for bit, for every pair at once.
-
-    Every term is a non-negative double, so each is an integer multiple k of
-    2**-e for the largest e any of them needs, and fsum returns a pair's
-    exact sum of k's times 2**-e, rounded once. While they stay below 2**53,
-    the k's are summed in two int64 limbs, k = hi * 2**30 + lo: each limb
-    sum is an exact double, and one float addition of the two scaled sums
-    rounds their exact total once. Past that bound they are summed as
-    Python ints, and one int division by 2**e rounds each total once. Rows
-    are taken in chunks, so memory grows with n^2, not n^2 * L.
-    """
-    ratios = [t.as_integer_ratio() for t in terms]
-    e = max(den.bit_length() - 1 for _, den in ratios)
-    ks = [num << (e - den.bit_length() + 1) for num, den in ratios]
-    n, length = codes.shape
-    if length * max(max(ks) >> _LIMB, 1 << _LIMB) < 2**53:
-        hi = np.array([k >> _LIMB for k in ks], dtype=np.int64)
-        lo = np.array([k & ((1 << _LIMB) - 1) for k in ks], dtype=np.int64)
-        limbs = (hi, lo)
-        scale = lambda hi_sum, lo_sum: hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
-    else:
-        limbs = (np.array(ks, dtype=object),)
-        scale = lambda total: total / (1 << e)
-    values = np.empty((n, n))
-    step = max(1, _CHUNK // n)
-    for start in range(0, n, step):
-        rows = codes[start : start + step]
-        sums = [np.zeros((len(rows), n), dtype=limb.dtype) for limb in limbs]
-        for a, b in zip(rows.T, codes.T):
-            term = pick[a[:, None], b]
-            for total, limb in zip(sums, limbs):
-                total += limb[term]
-        values[start : start + step] = scale(*sums) / length
-    return values
-
-
-def _first_failing(
-    patterns: Sequence[MobilityPattern], graph: CellGraph | None, points: int
-) -> int | None:
-    """The first pattern a tiakas measure fails on, or None if none does.
-
-    Each precondition tests one pattern: a length equal to pattern 0's and
-    at least points long, and, given a graph, a connected graph holding
-    every cell. So a row-major pair loop first fails on (0, j), where j is
-    the first pattern failing one, or 0 when pattern 0 or the graph does.
-    """
-    if graph is not None:
-        try:
-            graph.diameter()
-        except GraphNotConnectedError:
-            return 0
-    length = len(patterns[0])
-    if length < points:
-        return 0
-    for j, p in enumerate(patterns):
-        if len(p) != length or graph is not None and max(p.cells) >= graph.vertex_count:
-            return j
-    return None
-
-
-def _tiakas_net_table(
-    patterns: Sequence[MobilityPattern], graph: CellGraph
-) -> np.ndarray | int:
-    """tiakas_net on every pair: one hop table over the cells in use, whose
-    entries index the dia + 1 possible terms."""
-    failing = _first_failing(patterns, graph, 1)
-    if failing is not None:
-        return failing
-    dia = graph.diameter()
-    # Each cell's row in the hop table; a dict, since np.unique alone adds
-    # about 0.75 MB of resident memory to a process.
-    code: dict[int, int] = {}
-    codes = np.array([[code.setdefault(c, len(code)) for c in p.cells] for p in patterns])
-    terms = [baselines.net_term(h, dia) for h in range(dia + 1)]
-    return _exact_means(codes, graph.hop_table(list(code)), terms)
-
-
-# Index of the term for slot increments (da, db) in _tiakas_time_table.
-_STEP_PICK = np.arange(SLOT_COUNT**2).reshape(SLOT_COUNT, SLOT_COUNT)
-
-
-def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray | int:
-    """tiakas_time on every pair, from each pattern's slot increments and
-    the term of each increment pair in baselines.TIME_TERMS."""
-    failing = _first_failing(patterns, None, 2)
-    if failing is not None:
-        return failing
-    terms = [t for row in baselines.TIME_TERMS for t in row]
-    increments = np.diff(np.array([p.slots for p in patterns]), axis=1)
-    return _exact_means(increments, _STEP_PICK, terms)
-
-
-def _tiakas_total_table(
-    patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
-) -> np.ndarray | int:
-    """tiakas_total on every pair, from the net and time tables."""
-    failing = _first_failing(patterns, graph, 2)
-    if failing is not None:
-        return failing
-    net, time = _tiakas_net_table(patterns, graph), _tiakas_time_table(patterns)
-    w = DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * net + w.time * time
+    table: Callable[..., np.ndarray] | None = None
 
 
 MEASURE_TABLE: dict[str, Measure] = {
@@ -161,14 +49,14 @@ MEASURE_TABLE: dict[str, Measure] = {
     "time": Measure(measures.temporal_dissimilarity),
     "composite": Measure(measures.weighted_dissimilarity, reads_weights=True),
     "tiakas-net": Measure(
-        baselines.tiakas_net, reads_graph=True, table=_tiakas_net_table
+        baselines.tiakas_net, reads_graph=True, table=baselines._tiakas_net_table
     ),
-    "tiakas-time": Measure(baselines.tiakas_time, table=_tiakas_time_table),
+    "tiakas-time": Measure(baselines.tiakas_time, table=baselines._tiakas_time_table),
     "tiakas-total": Measure(
         baselines.tiakas_total,
         reads_graph=True,
         reads_weights=True,
-        table=_tiakas_total_table,
+        table=baselines._tiakas_total_table,
     ),
     "oss": Measure(baselines.oss),
     "lcss": Measure(baselines.lcss, similarity=True),
@@ -273,9 +161,8 @@ def build_matrix(
     as in Bayardo, Ma & Srikant, WWW 2007), and the measure runs on those
     alone. Every other pair gets the measure's value on _DISJOINT_PAIR,
     the same as on any pair sharing no cell. The tiakas measures have a
-    table function that computes every pair at once. When a pair fails,
-    the table names the first failing pair (0, j), and the measure runs on
-    that pair alone to raise its error. Candidates run in row-major order,
+    table function that computes every pair at once, or raises the error
+    of the first failing pair (0, j). Candidates run in row-major order,
     so a failing measure names the first pair that a full row-major scan
     would.
 
@@ -292,18 +179,16 @@ def build_matrix(
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
-    if spec.table is None:
-        rows, cols = _sharing_pairs(patterns)
-        fill = fn(*_DISJOINT_PAIR)
-    else:
-        values = spec.table(patterns, *_extra(spec, graph, weights))
-        if isinstance(values, np.ndarray):
-            values.setflags(write=False)
-            return DissimilarityMatrix(values=values, ids=ids)
-        # Pair (0, values) fails. NaN marks every entry the loop leaves
-        # unset, so a pair on which fn does not fail fails the finite check.
-        rows, cols, fill = np.array([0]), np.array([values]), np.nan
-    values = np.full((n, n), fill, dtype=np.float64)
+    if spec.table is not None:
+        try:
+            values = spec.table(patterns, *_extra(spec, graph, weights))
+        except baselines._RowError as exc:
+            j, error = exc.args
+            raise pair_failed(measure, names[0], names[j], error) from error
+        values.setflags(write=False)
+        return DissimilarityMatrix(values=values, ids=ids)
+    rows, cols = _sharing_pairs(patterns)
+    values = np.full((n, n), fn(*_DISJOINT_PAIR), dtype=np.float64)
     found = []
     for i, j in zip(rows.tolist(), cols.tolist()):
         try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,9 +23,9 @@ class CellGraph:
     """Unweighted bidirected graph over cell ids 0..vertex_count-1.
 
     Immutable after construction. Only the diameter value is cached: BFS
-    levels live no longer than the call, or the `hop_lookup` function, that
-    asked for them, so memory never grows with the sources queried; a
-    tiakas_net call keeps one lookup, and a tiakas matrix reads hop_table.
+    levels live no longer than the call that asked for them, so memory
+    never grows with the sources queried. The tiakas measures read
+    hop_table, per pair as per matrix.
     Edges are stored both ways: adding (a, b) implies (b, a).
     """
 
@@ -70,7 +70,7 @@ class CellGraph:
         return b in self._adj[a]
 
     def _check_cell(self, cell: int) -> int:
-        # Runs on every hop lookup: a plain int skips the call to as_int.
+        # Runs on every cell a query names: a plain int skips as_int.
         if type(cell) is not int:
             cell = as_int(cell, "cell id")
         if not 0 <= cell < self._n:
@@ -96,42 +96,39 @@ class CellGraph:
             frontier = nxt
         return levels
 
-    def hop_lookup(self) -> Callable[[int, int], int]:
-        """A hop_distance that keeps the BFS levels of each source cell it is
-        asked about for as long as the returned function lives."""
-        rows: dict[int, list[int]] = {}
-
-        def hops(src: int, dst: int) -> int:
-            src, dst = self._check_cell(src), self._check_cell(dst)
-            if src == dst:
-                return 0
-            levels = rows.get(src)
-            if levels is None:
-                levels = rows[src] = self._bfs(src)
-            d = levels[dst]
-            if d < 0:
-                raise GraphNotConnectedError(
-                    f"no path between cells {src} and {dst}"
-                )
-            return d
-
-        return hops
-
     def hop_distance(self, src: int, dst: int) -> int:
-        """Length of the shortest path between two cells, in hops."""
-        return self.hop_lookup()(src, dst)
+        """Length of the shortest path between two cells, in hops: one BFS
+        from src, in O(V) memory whatever the degrees."""
+        src, dst = self._check_cell(src), self._check_cell(dst)
+        d = self._bfs(src)[dst]
+        if d < 0:
+            raise GraphNotConnectedError(f"no path between cells {src} and {dst}")
+        return d
 
-    def _padded_neighbors(self) -> np.ndarray:
-        # Row k holds every cell's k-th neighbour, or n past its degree,
-        # which is the all-zero padding row of _bit_bfs's frontier.
+    def _padded_neighbors(self) -> tuple[np.ndarray, ...]:
+        """(nbr, hubs, hub_nbrs, starts) for _bit_bfs.
+
+        Row k of nbr holds every cell's k-th neighbour, or n, the frontier's
+        all-zero padding row, past its degree. The cap = min(max degree,
+        2 * ceil(mean degree)) rows keep a hub from making nbr V x V; on a
+        hex grid cap is the max degree. A hub, a cell of degree above cap,
+        has only padding in nbr: hub i's neighbours are hub_nbrs[starts[i]:
+        starts[i + 1]]."""
         degree = np.fromiter(map(len, self._adj), dtype=np.intp, count=self._n)
-        nbr = np.full((max(1, int(degree.max())), self._n), self._n, dtype=np.intp)
-        nbr.T[np.arange(len(nbr)) < degree[:, None]] = np.fromiter(
+        flat = np.fromiter(
             chain.from_iterable(self._adj), dtype=np.intp, count=int(degree.sum())
         )
-        return nbr
+        cap = min(int(degree.max()), 2 * -(-len(flat) // self._n))
+        hub = degree > cap
+        nbr = np.full((max(1, cap), self._n), self._n, dtype=np.intp)
+        kept = (np.arange(len(nbr)) < degree[:, None]) & ~hub[:, None]
+        nbr.T[kept] = flat[np.repeat(~hub, degree)]
+        hubs = np.flatnonzero(hub)
+        return nbr, hubs, flat[np.repeat(hub, degree)], np.cumsum(degree[hubs]) - degree[hubs]
 
-    def _bit_bfs(self, nbr: np.ndarray, sources: Sequence[int]) -> Iterator[np.ndarray]:
+    def _bit_bfs(
+        self, neighbors: tuple[np.ndarray, ...], sources: Sequence[int]
+    ) -> Iterator[np.ndarray]:
         """One BFS from every source at once, one bit per source (Then et
         al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
         VLDB 2015), yielding after level 0, 1, ... the bits of the sources
@@ -139,12 +136,13 @@ class CellGraph:
         a new cell.
 
         Bits are packed into 64-bit words, and each level ORs the frontier
-        words of every cell's neighbours, one row of nbr (_padded_neighbors)
-        at a time; row n of the frontier is the all-zero padding row, and
-        the buffers are reused from level to level. Every source's bit
-        spreads on its own, so the levels yielded are one more than the
-        largest eccentricity of the sources.
+        words of every cell's neighbours, one row of _padded_neighbors's nbr
+        at a time, then each hub's with one bitwise_or.reduceat; the buffers
+        are reused from level to level. Every source's bit spreads on its
+        own, so the levels yielded are one more than the largest
+        eccentricity of the sources.
         """
+        nbr, hubs, hub_nbrs, starts = neighbors
         n, u = self._n, len(sources)
         words = -(-u // 64)
         bits = np.packbits(np.eye(u, words * 64, dtype=bool), axis=1).view(np.uint64)
@@ -156,9 +154,11 @@ class CellGraph:
             yield unseen
             # Every index is in range: "clip" skips the default mode's bounds
             # check and the temporary it writes before copying into out.
-            step = np.take(frontier, nbr[0], axis=0, out=spare[:n], mode="clip")
+            step = frontier.take(nbr[0], axis=0, out=spare[:n], mode="clip")
             for col in nbr[1:]:
-                step |= np.take(frontier, col, axis=0, out=gathered, mode="clip")
+                step |= frontier.take(col, axis=0, out=gathered, mode="clip")
+            if len(hubs):
+                step[hubs] |= np.bitwise_or.reduceat(frontier[hub_nbrs], starts)
             step &= unseen
             if not step.any():
                 return
@@ -172,9 +172,10 @@ class CellGraph:
         One bit-parallel BFS from all U cells at once (_bit_bfs): entry
         (i, j) counts the levels after which cell i still lacked cell j's
         bit, which is their distance; the graph is undirected, so the table
-        is symmetric. Memory is O(V * (U / 64 + max degree) + U^2): the
-        neighbour array pads every cell to the largest degree, 30.5 MB of
-        the 34.5 MB peak for two cells of a 2000-cell star.
+        is symmetric. Memory is O(V * U / 64 + E + U^2), since the
+        neighbour array pads cells to at most twice the mean degree: two
+        cells of a 2000-cell star peak at about 0.2 MB, where padding to
+        the hub's degree took 34.5 MB.
         """
         cells = [self._check_cell(c) for c in cells]
         u = len(cells)
@@ -200,8 +201,7 @@ class CellGraph:
         bit-parallel BFS (_bit_bfs) whose level count is the largest
         eccentricity among its sources; once L has risen to 2 d(u, v) of a
         batch's first cell, that batch and all later ones are skipped.
-        Memory is O(V * (max degree + _BATCH / 64)); no level outlives the
-        call.
+        Memory is O(V * _BATCH / 64 + E); no level outlives the call.
         """
         if self._diameter is None:
             start = max(range(self._n), key=lambda v: len(self._adj[v]))
@@ -219,12 +219,11 @@ class CellGraph:
             lower = max(lower, max(levels))
             far = [v for v, depth in enumerate(levels) if 2 * depth > lower]
             far.sort(key=levels.__getitem__, reverse=True)
-            # Padded to the largest degree, so a star's would be V x V.
-            nbr = self._padded_neighbors() if far else None
+            neighbors = self._padded_neighbors() if far else None
             for first in range(0, len(far), _BATCH):
                 if 2 * levels[far[first]] <= lower:
                     break
-                passes = self._bit_bfs(nbr, far[first : first + _BATCH])
+                passes = self._bit_bfs(neighbors, far[first : first + _BATCH])
                 lower = max(lower, sum(1 for _ in passes) - 1)
             self._diameter = lower
         return self._diameter

@@ -16,7 +16,7 @@ import numpy as np
 from mobisim.clustering import ClusterAssignment, DissimilarityMatrix, resolve_measure
 from mobisim.errors import DomainError, GraphNotConnectedError
 from mobisim.graph import CellGraph
-from mobisim.measures import Weights
+from mobisim.measures import DEFAULT_WEIGHTS, Weights
 from mobisim.patterns import MobilityPattern
 
 
@@ -153,6 +153,63 @@ def brute_cvti(a: MobilityPattern, b: MobilityPattern) -> int:
     return total
 
 
+def fsum_tiakas_net(
+    a: MobilityPattern, b: MobilityPattern, graph: CellGraph, hops: dict | None = None
+) -> float:
+    """tiakas_net per position: equal lengths, then the diameter, then the
+    hop_distance of each position (a's cell checked before b's), and the
+    terms h / dia (0 for 0 hops) summed with fsum. hops, if given, keeps
+    each distance, under its cells in ascending order, for later calls on
+    the same graph."""
+    if len(a) != len(b):
+        raise DomainError(f"patterns must have equal length, got {len(a)} and {len(b)}")
+    dia = graph.diameter()
+    hops = {} if hops is None else hops
+    terms = []
+    for va, vb in zip(a.cells, b.cells):
+        key = min(va, vb), max(va, vb)
+        if key not in hops:
+            hops[key] = graph.hop_distance(va, vb)
+        terms.append(hops[key] / dia if hops[key] else 0.0)
+    return math.fsum(terms) / len(terms)
+
+
+def fsum_tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
+    """tiakas_time per step: |da - db| / max(da, db) of the two slot
+    increments, 0 where both are 0, summed with fsum."""
+    if len(a) != len(b):
+        raise DomainError(f"patterns must have equal length, got {len(a)} and {len(b)}")
+    if len(a) < 2:
+        raise DomainError("patterns need at least two points")
+    terms = []
+    for i in range(len(a) - 1):
+        da, db = a.slots[i + 1] - a.slots[i], b.slots[i + 1] - b.slots[i]
+        terms.append(0.0 if da == db == 0 else abs(da - db) / max(da, db))
+    return math.fsum(terms) / len(terms)
+
+
+def fsum_tiakas_total(
+    a: MobilityPattern,
+    b: MobilityPattern,
+    graph: CellGraph,
+    weights: Weights | None = None,
+    hops: dict | None = None,
+) -> float:
+    w = DEFAULT_WEIGHTS if weights is None else weights
+    return w.space * fsum_tiakas_net(a, b, graph, hops) + w.time * fsum_tiakas_time(a, b)
+
+
+def fsum_tiakas(measure: str, graph: CellGraph | None, weights: Weights | None):
+    """The two-pattern oracle of a tiakas-* measure, sharing one hop cache
+    across its calls, or None for the other measures."""
+    hops: dict = {}
+    return {
+        "tiakas-net": lambda a, b: fsum_tiakas_net(a, b, graph, hops),
+        "tiakas-time": fsum_tiakas_time,
+        "tiakas-total": lambda a, b: fsum_tiakas_total(a, b, graph, weights, hops),
+    }.get(measure)
+
+
 def brute_diameter(g: CellGraph) -> int:
     """The all-sources loop: a BFS from every cell, keeping the largest
     level; any unreachable cell means the graph is not connected."""
@@ -213,10 +270,11 @@ def brute_build_matrix(
     ids: Sequence[str] | None = None,
 ) -> DissimilarityMatrix:
     """The loop build: evaluate the measure on every ordered pair, diagonal
-    included, in row-major order."""
+    included, in row-major order; a tiakas-* measure by its fsum oracle."""
     if not patterns:
         raise DomainError("need at least one pattern")
     fn = resolve_measure(measure, graph=graph, weights=weights)
+    fn = fsum_tiakas(measure, graph, weights) or fn
     n = len(patterns)
     ids = None if ids is None else tuple(ids)
     if ids is not None and len(ids) != n:

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -30,6 +29,8 @@ from support import (
     brute_make_pattern,
     brute_uncommon,
     dp_lcss,
+    fsum_tiakas_net,
+    fsum_tiakas_time,
     random_connected_graph,
     random_pattern,
     scan_d_time,
@@ -332,21 +333,7 @@ def test_tiakas_net_matches_per_position_definition():
         a = random_pattern(rng, g.vertex_count, min_len=length, max_len=length)
         b = random_pattern(rng, g.vertex_count, min_len=length, max_len=length)
         for x, y in ((a, b), (a, a)):
-            terms = [
-                0.0 if ca == cb else g.hop_distance(ca, cb) / g.diameter()
-                for ca, cb in zip(x.cells, y.cells)
-            ]
-            assert tiakas_net(x, y, g) == math.fsum(terms) / length
-
-
-def per_step_tiakas_time(a, b):
-    """tiakas_time straight from its definition on the slots: per step, the
-    gap between the two increments over the larger, 0 where both are 0."""
-    terms = []
-    for i in range(len(a) - 1):
-        da, db = a.slots[i + 1] - a.slots[i], b.slots[i + 1] - b.slots[i]
-        terms.append(0.0 if da == db == 0 else abs(da - db) / max(da, db))
-    return math.fsum(terms) / (len(a) - 1)
+            assert tiakas_net(x, y, g) == fsum_tiakas_net(x, y, g)
 
 
 def test_tiakas_time_matches_per_step_definition_on_every_increment_pair():
@@ -354,7 +341,7 @@ def test_tiakas_time_matches_per_step_definition_on_every_increment_pair():
         for db in range(11):
             a = make_pattern([(0, 1), (0, 1 + da)])
             b = make_pattern([(1, 1), (1, 1 + db)])
-            assert tiakas_time(a, b) == per_step_tiakas_time(a, b)
+            assert tiakas_time(a, b) == fsum_tiakas_time(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,4 +349,4 @@ def test_tiakas_time_matches_per_step_definition_on_every_increment_pair():
 def test_tiakas_time_matches_per_step_definition(pair):
     a, b = pair
     for x, y in ((a, b), (b, a), (a, a)):
-        assert tiakas_time(x, y) == per_step_tiakas_time(x, y)
+        assert tiakas_time(x, y) == fsum_tiakas_time(x, y)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mobisim import baselines, clustering, measures
+from mobisim import baselines, measures
 from mobisim.clustering import (
     _DISJOINT_PAIR,
     MEASURE_TABLE,
@@ -24,6 +24,7 @@ from mobisim.patterns import make_pattern
 from support import (
     brute_build_matrix,
     brute_kmedoids,
+    fsum_tiakas,
     has_repeat_at_distinct_slots,
     random_connected_graph,
     random_pattern,
@@ -514,12 +515,14 @@ def exact_mean_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(exact_mean_inputs())
+# _CHUNK 1 and 5 split even these small inputs into blocks of rows and of
+# columns.
+@given(exact_mean_inputs(), st.sampled_from([1, 5, 1 << 16]))
 # One input within the int64 limb bound and one past it, where 5e-324 makes
 # the integer of 1.0 2**1074.
-@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [1 / 3, 0.5, 1.0]))
-@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [5e-324, 0.5, 1.0]))
-def test_exact_means_is_the_fsum_mean(inputs):
+@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [1 / 3, 0.5, 1.0]), 5)
+@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [5e-324, 0.5, 1.0]), 5)
+def test_exact_means_is_the_fsum_mean(inputs, chunk):
     codes, pick, terms = inputs
     n, length = codes.shape
     want = np.array([
@@ -527,13 +530,37 @@ def test_exact_means_is_the_fsum_mean(inputs):
          for j in range(n)]
         for i in range(n)
     ])
-    assert same_bits(clustering._exact_means(codes, pick, terms), want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_CHUNK", chunk)
+        assert same_bits(baselines._exact_means(codes, pick, terms), want)
+
+
+def bfs_runs(monkeypatch) -> list[int]:
+    """The source of every CellGraph._bfs run from here on."""
+    bfs, runs = CellGraph._bfs, []
+
+    def counted(self, source):
+        runs.append(source)
+        return bfs(self, source)
+
+    monkeypatch.setattr(CellGraph, "_bfs", counted)
+    return runs
+
+
+def pair_outcome(fn, a, b):
+    """fn(a, b) as hex, or the type and text of the DomainError it raises."""
+    try:
+        return fn(a, b).hex()
+    except DomainError as exc:
+        return type(exc), str(exc)
 
 
 class TestTiakasTables:
     """build_matrix computes the tiakas measures for every pair at once from
     a hop table and integer sums; each value must be the per-pair function's
-    bit for bit, and any failure the loop's, naming the same pair."""
+    bit for bit, and any failure the loop's, naming the same pair. The loop
+    runs each measure's fsum oracle from tests/support.py, as the public
+    per-pair functions are themselves the tables on one pair."""
 
     def test_random_graphs(self):
         rng = random.Random("tiakas/random")
@@ -570,12 +597,9 @@ class TestTiakasTables:
     def test_table_runs_no_pair_loop(self, monkeypatch):
         pats = slot_walks(random.Random(7), ORACLE_GRID, 6, 5)
         want = outcome(brute_build_matrix, pats, "tiakas-total", None)
-
-        def no_lookup(self):
-            raise AssertionError("per-pair hop lookup")
-
-        monkeypatch.setattr(CellGraph, "hop_lookup", no_lookup)
+        runs = bfs_runs(monkeypatch)
         assert same_bits(outcome(build_matrix, pats, "tiakas-total", None), want)
+        assert runs == []
 
     @pytest.mark.parametrize("names, graph, cells, message", [
         (("tiakas-net", "tiakas-total"), ORACLE_GRID, [[0, 1], [2, 3], [16, 4]],
@@ -606,13 +630,7 @@ class TestTiakasTables:
         pats = [make_pattern(grid_walk(rng, g, 10)) for _ in range(299)]
         pats.append(make_pattern(last))
         g.diameter()
-        bfs, runs = CellGraph._bfs, []
-
-        def counted(self, source):
-            runs.append(source)
-            return bfs(self, source)
-
-        monkeypatch.setattr(CellGraph, "_bfs", counted)
+        runs = bfs_runs(monkeypatch)
         for name in ("tiakas-net", "tiakas-total"):
             got = outcome(build_matrix, pats, name, None, g)
             assert got == f"measure {name!r} failed for patterns 'q00' and 'q299': {reason}"
@@ -633,12 +651,17 @@ class TestTiakasTables:
                 assert got == want
             else:
                 assert same_bits(got, want)
+            # Each pair alone fails as its oracle does, even where the
+            # pattern's own row would fail first on another precondition.
+            fn, oracle = resolve_measure(name, graph=graph), fsum_tiakas(name, graph, None)
+            for a, b in itertools.product(pats, repeat=2):
+                assert pair_outcome(fn, a, b) == pair_outcome(oracle, a, b)
 
     def test_sums_past_the_limb_bound_stay_exact(self, monkeypatch):
         # With a 52-bit low limb, L * 2**52 >= 2**53 for every length L >= 2,
         # so those tables sum Python ints instead of int64 limbs.
-        monkeypatch.setattr(clustering, "_LIMB", 52)
-        exact_means, lengths = clustering._exact_means, []
+        monkeypatch.setattr(baselines, "_LIMB", 52)
+        exact_means, lengths = baselines._exact_means, []
 
         def recorded(codes, pick, terms):
             values = exact_means(codes, pick, terms)
@@ -646,10 +669,7 @@ class TestTiakasTables:
             lengths.append(codes.shape[1])
             return values
 
-        def no_lookup(self):
-            raise AssertionError("per-pair hop lookup")
-
-        monkeypatch.setattr(clustering, "_exact_means", recorded)
+        monkeypatch.setattr(baselines, "_exact_means", recorded)
         rng = random.Random("tiakas/inexact")
         g = random_connected_graph(rng, 6, 40)
         for length in (1, 2, 3, 70):
@@ -657,9 +677,10 @@ class TestTiakasTables:
             assert_tables_match(pats, g)
             if length > 1:
                 with monkeypatch.context() as patched:
-                    patched.setattr(CellGraph, "hop_lookup", no_lookup)
+                    runs = bfs_runs(patched)
                     for name in TIAKAS:
                         build_matrix(pats, name, graph=g)
+                    assert runs == []
         assert 70 in lengths
         # Walk 3 leaves the graph and walk 5 is one point short.
         pats = slot_walks(rng, g, 5, 4)
@@ -686,13 +707,7 @@ class TestTiakasTables:
                 points.append((cell, slot))
             pats.append(make_pattern(points))
         want = outcome(brute_build_matrix, pats, "tiakas-net", None, g)
-        bfs, runs = CellGraph._bfs, []
-
-        def counted(self, source):
-            runs.append(source)
-            return bfs(self, source)
-
-        monkeypatch.setattr(CellGraph, "_bfs", counted)
+        runs = bfs_runs(monkeypatch)
         assert same_bits(outcome(build_matrix, pats, "tiakas-net", None, g), want)
         assert runs == []
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import tracemalloc
@@ -119,12 +120,22 @@ class TestHopDistance:
 class TestHopTable:
     def test_matches_floyd_warshall_on_random_graphs(self):
         # Up to 80 cells drawn with repeats: more sources than one 64-bit
-        # word holds, and on some graphs cells that no path joins.
+        # word holds, and on some graphs cells that no path joins. Stars and
+        # brooms add hubs, cells above twice the mean degree, alone, in
+        # pairs, next to each other and beside a second component.
         rng = random.Random(3)
-        for _ in range(40):
-            g = random_connected_graph(rng, 1, 40)
-            if rng.random() < 0.3:
-                g = _disjoint_union(g, random_connected_graph(rng, 1, 10))
+        hubs = [_star(n) for n in (2, 3, 9, 65)]
+        hubs += [_broom(h, leaves) for h, leaves in ((0, 5), (1, 2), (3, 30))]
+        hubs += [_disjoint_union(_broom(2, 20), _star(12)), _disjoint_union(_star(5), _star(30))]
+        # Lazy, so each random graph is drawn just before its cells.
+        random_graphs = (random_connected_graph(rng, 1, 40) for _ in range(40))
+        for g in itertools.chain(
+            (
+                _disjoint_union(g, random_connected_graph(rng, 1, 10)) if rng.random() < 0.3 else g
+                for g in random_graphs
+            ),
+            hubs,
+        ):
             dist = floyd_warshall(g)
             cells = [rng.randrange(g.vertex_count) for _ in range(rng.randint(0, 80))]
             table = g.hop_table(cells)
@@ -139,10 +150,9 @@ class TestHopTable:
         for _ in range(20):
             g = random_connected_graph(rng, 2, 60)
             cells = rng.sample(range(g.vertex_count), rng.randint(1, g.vertex_count))
-            hops = g.hop_lookup()
-            assert g.hop_table(cells).tolist() == [[hops(a, b) for b in cells] for a in cells]
-            a, b = rng.choice(cells), rng.choice(cells)
-            assert g.hop_distance(a, b) == hops(a, b)
+            assert g.hop_table(cells).tolist() == [
+                [g.hop_distance(a, b) for b in cells] for a in cells
+            ]
 
     def test_off_graph_cell_is_the_hop_distance_error(self):
         g = CellGraph(3, [(0, 1), (1, 2)])
@@ -194,6 +204,10 @@ def _disjoint_union(a: CellGraph, b: CellGraph) -> CellGraph:
 
 def _cycle(n: int) -> CellGraph:
     return CellGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _star(n: int) -> CellGraph:
+    return CellGraph(n, [(0, i) for i in range(1, n)])
 
 
 def _broom(handle: int, leaves: int) -> CellGraph:
