@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -70,31 +70,40 @@ _LIMB = 30
 _CHUNK = 1 << 16
 
 
+def _limbs(terms: list[float], most: int) -> tuple[tuple[np.ndarray, ...], Callable]:
+    """(limbs, scale): the terms as exact integers, to be summed up to most
+    at a time, and how to turn such an integer sum back into a double.
+
+    Every term is a non-negative double, so each is an integer multiple k of
+    2**-e for the largest e any of them needs, and math.fsum of some terms
+    is their exact sum of k's times 2**-e, rounded once. While most of them
+    stay below 2**53, the k's are two int64 limbs, k = hi * 2**30 + lo:
+    each limb sum is an exact double, and scale(hi_sum, lo_sum), one float
+    addition of the two scaled sums, rounds their exact total once. Past
+    that bound limbs holds the k's as Python ints, and scale(total), one
+    int division by 2**e, rounds each total once. Integer sums are exact in
+    any order.
+    """
+    ratios = [t.as_integer_ratio() for t in terms]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    ks = [num << (e - den.bit_length() + 1) for num, den in ratios]
+    if most * max(max(ks) >> _LIMB, 1 << _LIMB) < 2**53:
+        hi, lo = [k >> _LIMB for k in ks], [k & (1 << _LIMB) - 1 for k in ks]
+        limbs = (np.array(hi, dtype=np.int64), np.array(lo, dtype=np.int64))
+        return limbs, lambda hi_sum, lo_sum: hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
+    return (np.array(ks, dtype=object),), lambda total: total / (1 << e)
+
+
 def _exact_means(codes: np.ndarray, pick: np.ndarray, terms: list[float]) -> np.ndarray:
     """values[i, j] = math.fsum(terms[pick[codes[i, l], codes[j, l]]] for
     each of the L columns l) / L, bit for bit, for every pair at once.
 
-    Every term is a non-negative double, so each is an integer multiple k of
-    2**-e for the largest e any of them needs, and fsum returns a pair's
-    exact sum of k's times 2**-e, rounded once. While they stay below 2**53,
-    the k's are summed in two int64 limbs, k = hi * 2**30 + lo: each limb
-    sum is an exact double, and one float addition of the two scaled sums
-    rounds their exact total once. Past that bound they are summed as
-    Python ints, and one int division by 2**e rounds each total once.
-    Integer sums are exact in any order, so each chunk of rows sums blocks
-    of columns at once, no temporary holding more than about _CHUNK values:
-    memory grows with n^2, not n^2 * L.
+    The terms are summed as the exact integers of _limbs. Each chunk of rows
+    sums blocks of columns at once, no temporary holding more than about
+    _CHUNK values: memory grows with n^2, not n^2 * L.
     """
-    ratios = [t.as_integer_ratio() for t in terms]
-    e = max(den.bit_length() - 1 for _, den in ratios)
-    ks = np.array([num << (e - den.bit_length() + 1) for num, den in ratios], dtype=object)
     n, length = codes.shape
-    if length * max(ks.max() >> _LIMB, 1 << _LIMB) < 2**53:
-        limbs = ((ks >> _LIMB).astype(np.int64), (ks & (1 << _LIMB) - 1).astype(np.int64))
-        scale = lambda hi_sum, lo_sum: hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
-    else:
-        limbs = (ks,)
-        scale = lambda total: total / (1 << e)
+    limbs, scale = _limbs(terms, length)
     values = np.empty((n, n))
     step = max(1, _CHUNK // n)
     for start in range(0, n, step):

@@ -66,8 +66,9 @@ def cmd_matrix(args: argparse.Namespace) -> str:
     # One %-template per row gives the same bytes as f"{v:.6f}" per value,
     # with one format call per row instead of one per value.
     template = ",".join(["%.6f"] * m.n)
-    for pid, row in zip(m.ids, m.values.tolist()):
-        lines.append(pid + "," + template % tuple(row))
+    # One row at a time: a list of every value at once raises the peak memory.
+    for pid, row in zip(m.ids, m.values):
+        lines.append(pid + "," + template % tuple(row.tolist()))
     return _emit("\n".join(lines) + "\n", args.out)
 
 

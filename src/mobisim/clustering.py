@@ -17,57 +17,226 @@ from . import baselines, measures
 from .errors import DomainError, as_int
 from .graph import CellGraph
 from .measures import Weights
-from .patterns import MobilityPattern
+from .patterns import SLOT_COUNT, MobilityPattern
 
 MeasureFn = Callable[[MobilityPattern, MobilityPattern], float]
 
 
 @dataclass(frozen=True)
 class Measure:
-    """A measure's function and the inputs it reads besides the two patterns.
+    """A measure's function, its whole-matrix table, and the inputs both
+    read besides the patterns.
 
     fn takes (a, b), then the graph if reads_graph, then the weights if
-    reads_weights. similarity marks the raw-unit similarities, integer
-    counts that read only the two patterns; every other measure is a [0,1]
-    dissimilarity. table, given the patterns and the graph and weights as fn
-    takes them, gives a positional measure's whole matrix at once; when a
-    pair fails it raises baselines._RowError, the error of the first
-    failing pair (0, j). A positional fn is its table on the one pair. A
-    measure without a table is cell-local: it reads only the cells two
-    patterns share, so it has one value on every pair that shares no cell.
+    reads_weights; table takes the list of patterns, then the same inputs,
+    and gives fn on every ordered pair, bit for bit. similarity marks the
+    raw-unit similarities, integer counts that read only the two patterns;
+    every other measure is a [0,1] dissimilarity. A positional (tiakas)
+    table raises baselines._RowError, the error of the first failing pair
+    (0, j), when a pair fails, and its fn is its table on the one pair. The
+    other measures are cell-local: they read only the cells two patterns
+    share, so each has one value on every pair that shares no cell, and
+    their tables read the other pairs from _SameCellJoin.
     """
 
     fn: Callable[..., float]
+    table: Callable[..., np.ndarray]
     reads_graph: bool = False
     reads_weights: bool = False
     similarity: bool = False
-    table: Callable[..., np.ndarray] | None = None
 
-
-MEASURE_TABLE: dict[str, Measure] = {
-    "space": Measure(measures.spatial_dissimilarity),
-    "time": Measure(measures.temporal_dissimilarity),
-    "composite": Measure(measures.weighted_dissimilarity, reads_weights=True),
-    "tiakas-net": Measure(
-        baselines.tiakas_net, reads_graph=True, table=baselines._tiakas_net_table
-    ),
-    "tiakas-time": Measure(baselines.tiakas_time, table=baselines._tiakas_time_table),
-    "tiakas-total": Measure(
-        baselines.tiakas_total,
-        reads_graph=True,
-        reads_weights=True,
-        table=baselines._tiakas_total_table,
-    ),
-    "oss": Measure(baselines.oss),
-    "lcss": Measure(baselines.lcss, similarity=True),
-    "cvti": Measure(baselines.cvti, similarity=True),
-}
-
-MEASURES: tuple[str, ...] = tuple(MEASURE_TABLE)
 
 # Two one-point patterns on different cells: a cell-local measure's value on
 # this pair is its value on every pair that shares no cell.
 _DISJOINT_PAIR = (MobilityPattern([(0, 1)]), MobilityPattern([(1, 1)]))
+
+# For two slots ta and tb, at (ta - 1) * SLOT_COUNT + tb - 1: the temporal
+# term |ta - tb| / max(ta, tb), and the minutes the two slots share.
+_GAP_TERMS = [
+    abs(ta - tb) / max(ta, tb)
+    for ta in range(1, SLOT_COUNT + 1)
+    for tb in range(1, SLOT_COUNT + 1)
+]
+_OVERLAP_MINUTES = [m for row in baselines._SLOT_OVERLAP for m in row]
+# _SameCellJoin's chunks hold at least _JOIN_CHUNK point pairs and at most
+# baselines._CHUNK. Arrays of 64 KiB, not 512 KiB, kept the cluster-dense
+# benchmark's peak RSS about 0.45 MB lower at the same speed.
+_JOIN_CHUNK = 1 << 13
+
+
+class _SameCellJoin:
+    """Exact sums over the point pairs on a common cell, for each pair of
+    patterns rows[c] <= cols[c] that shares a cell, in row-major order.
+
+    la and lb are the two lengths; count is the number of point pairs (p, q)
+    on a common cell, p of the row pattern and q of the column pattern; gap
+    is the sum of their temporal terms as a double, rounded once; uncommon
+    is la + lb less the points on a shared cell; overlap sums their
+    _OVERLAP_MINUTES; displacement sums |pos_p - pos_q| over the pairs
+    where p is the row pattern's k-th point on the cell and q the column
+    pattern's k-th. With sums false, only rows and cols are found.
+
+    A dict groups the points by cell, each group in pattern and position
+    order, so a pattern's points on a cell are one run of its group. Each
+    point p is joined with the points q from the start of its own run to
+    the end of its group: the points of later patterns once each, and those
+    of its own pattern in both orders, p with itself included, as a pattern
+    compared with itself needs. The join is these slices one after another.
+    It is built twice in chunks of at most baselines._CHUNK point pairs, not
+    stored: first to mark the candidate pairs i * n + j in one n * n array,
+    whose np.flatnonzero is the row-major candidate list (inverted-index
+    candidate generation, as in Bayardo, Ma & Srikant, WWW 2007), then to
+    sum each candidate's integers with np.bincount. Nothing is sorted. The
+    mark then maps each candidate to its place in the list: as int32 it is
+    half the size of the matrix filled after it is freed, and a binary
+    search of the list took longer than the rest of the join. A double sums
+    integers exactly below 2**53; the temporal terms are the exact integers
+    of baselines._limbs, and past its limb bound np.add.at sums them as
+    Python ints.
+    """
+
+    def __init__(self, patterns: Sequence[MobilityPattern], sums: bool = True):
+        n = len(patterns)
+        lengths = np.array([len(p) for p in patterns])
+        visitors: dict[int, list[int]] = {}
+        for point, cell in enumerate([c for p in patterns for c in p.cells]):
+            visitors.setdefault(cell, []).append(point)
+        order = np.array([point for group in visitors.values() for point in group])
+        sizes = [len(group) for group in visitors.values()]
+        ends = np.cumsum(sizes)
+        group_end = np.repeat(ends, sizes)
+        owner = np.repeat(np.arange(n), lengths)[order]
+        pos = (np.arange(len(order)) - np.repeat(np.cumsum(lengths) - lengths, lengths))[order]
+        slot = np.array([t for p in patterns for t in p.slots])[order] - 1
+        # Each run starts where the owner changes or a group starts.
+        here = np.arange(len(order))
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = owner[1:] != owner[:-1]
+        starts[ends[:-1]] = True
+        run = np.maximum.accumulate(here * starts)
+        rank = here - run
+        # Point k's slice of the join is entries bounds[k] up to bounds[k + 1],
+        # and entry e of it pairs k with point e + shift[k].
+        bounds = np.concatenate(([0], np.cumsum(group_end - run)))
+        shift = group_end - bounds[1:]
+
+        def chunks(step):
+            """Each chunk of step pairs as (left, q): left(x) is the per-point
+            array x at each pair's first point, and q each pair's second point."""
+            total = int(bounds[-1])
+            for start in range(0, total, step):
+                end = min(start + step, total)
+                lo = int(np.searchsorted(bounds, start, side="right")) - 1
+                hi = int(np.searchsorted(bounds, end))
+                cut = np.clip(bounds[lo : hi + 1], start, end)
+                counts = cut[1:] - cut[:-1]
+                left = lambda x: np.repeat(x[lo:hi], counts)
+                yield left, np.arange(start, end) + left(shift)
+
+        # Marked with 1, then each candidate's position in keys.
+        index = np.zeros(n * n, dtype=np.int32)
+        row_key = owner * n
+        for left, q in chunks(min(baselines._CHUNK, _JOIN_CHUNK)):
+            index[left(row_key) + owner[q]] = 1
+        keys = np.flatnonzero(index)
+        self.patterns = patterns
+        self.rows, self.cols = np.divmod(keys, n)
+        if not sums:
+            return
+        size = len(keys)
+        index[keys] = np.arange(size)
+        limbs, scale = baselines._limbs(_GAP_TERMS, int(lengths.max()) ** 2)
+        limbs = [limb if limb.dtype == object else limb.astype(np.float64) for limb in limbs]
+        slot_row = slot * SLOT_COUNT
+        first = (rank == 0) * 1.0
+        overlap = np.array(_OVERLAP_MINUTES, dtype=np.float64)
+        count, shared, minutes, displacement = np.zeros((4, size))
+        gap_sums = [np.zeros(size, dtype=limb.dtype) for limb in limbs]
+        # Each chunk's bincounts write size-long arrays: a shorter chunk
+        # would spend its time there.
+        for left, q in chunks(min(baselines._CHUNK, max(_JOIN_CHUNK, size))):
+            pair = index[left(row_key) + owner[q]]
+            term = left(slot_row) + slot[q]
+            count += np.bincount(pair, minlength=size)
+            shared += np.bincount(pair, left(first) + first[q], size)
+            minutes += np.bincount(pair, overlap[term], size)
+            moved = np.abs(left(pos) - pos[q]) * (left(rank) == rank[q])
+            displacement += np.bincount(pair, moved, size)
+            for total, limb in zip(gap_sums, limbs):
+                if limb.dtype == object:
+                    np.add.at(total, pair, limb[term])
+                else:
+                    total += np.bincount(pair, limb[term], size)
+        self.la, self.lb = lengths[self.rows], lengths[self.cols]
+        self.count = count
+        self.gap = np.asarray(scale(*gap_sums), dtype=np.float64)
+        self.uncommon = self.la + self.lb - shared
+        self.overlap = minutes
+        self.displacement = displacement
+
+    def spread(self, fill: float, found) -> np.ndarray:
+        """The n x n matrix holding found at (rows, cols) and (cols, rows),
+        and fill everywhere else."""
+        n = len(self.patterns)
+        values = np.full((n, n), fill, dtype=np.float64)
+        values[self.rows, self.cols] = found
+        values[self.cols, self.rows] = found
+        return values
+
+
+def _cell_local(fn: Callable[..., float], value: Callable[..., object], **flags) -> Measure:
+    """A cell-local measure: fn, and the table that puts value(join, *extra)
+    on the pairs that share a cell and fn on _DISJOINT_PAIR on the rest."""
+
+    def table(patterns: Sequence[MobilityPattern], *extra) -> np.ndarray:
+        join = _SameCellJoin(patterns)
+        return join.spread(fn(*_DISJOINT_PAIR, *extra), value(join, *extra))
+
+    return Measure(fn, table, **flags)
+
+
+# The cell-local values from the join's sums, each with the float operations
+# of its per-pair function, in the same order.
+def _space(j: _SameCellJoin) -> np.ndarray:
+    return j.uncommon / (j.la + j.lb)
+
+
+def _composite(j: _SameCellJoin, weights: Weights | None) -> np.ndarray:
+    w = measures.DEFAULT_WEIGHTS if weights is None else weights
+    return w.space * _space(j) + w.time * (j.gap / j.count)
+
+
+def _oss(j: _SameCellJoin) -> np.ndarray:
+    return (j.displacement / np.maximum(j.la, j.lb) + j.uncommon) / (j.la + j.lb)
+
+
+def _lcss_table(patterns: Sequence[MobilityPattern]) -> np.ndarray:
+    """A longest common subsequence is no sum: lcss runs on each pair that
+    shares a cell."""
+    join = _SameCellJoin(patterns, sums=False)
+    pairs = zip(join.rows.tolist(), join.cols.tolist())
+    lengths = [baselines.lcss(patterns[i], patterns[j]) for i, j in pairs]
+    return join.spread(baselines.lcss(*_DISJOINT_PAIR), lengths)
+
+
+MEASURE_TABLE: dict[str, Measure] = {
+    "space": _cell_local(measures.spatial_dissimilarity, _space),
+    "time": _cell_local(measures.temporal_dissimilarity, lambda j: j.gap / j.count),
+    "composite": _cell_local(measures.weighted_dissimilarity, _composite, reads_weights=True),
+    "tiakas-net": Measure(baselines.tiakas_net, baselines._tiakas_net_table, reads_graph=True),
+    "tiakas-time": Measure(baselines.tiakas_time, baselines._tiakas_time_table),
+    "tiakas-total": Measure(
+        baselines.tiakas_total,
+        baselines._tiakas_total_table,
+        reads_graph=True,
+        reads_weights=True,
+    ),
+    "oss": _cell_local(baselines.oss, _oss),
+    "lcss": Measure(baselines.lcss, _lcss_table, similarity=True),
+    "cvti": _cell_local(baselines.cvti, lambda j: j.overlap, similarity=True),
+}
+
+MEASURES: tuple[str, ...] = tuple(MEASURE_TABLE)
 
 
 def resolve_measure(
@@ -130,20 +299,6 @@ class DissimilarityMatrix:
         return self.values.shape[0]
 
 
-def _sharing_pairs(patterns: Sequence[MobilityPattern]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices, in row-major order, of the pairs i <= j whose
-    patterns share a cell; the diagonal is always included."""
-    visitors: dict[int, list[int]] = {}
-    for i, p in enumerate(patterns):
-        for cell in set(p.cells):
-            visitors.setdefault(cell, []).append(i)
-    shared = np.eye(len(patterns), dtype=bool)
-    for group in visitors.values():
-        if len(group) > 1:
-            shared[np.ix_(group, group)] = True
-    return np.nonzero(np.triu(shared))
-
-
 def build_matrix(
     patterns: Sequence[MobilityPattern],
     measure: str,
@@ -151,52 +306,37 @@ def build_matrix(
     weights: Weights | None = None,
     ids: Sequence[str] | None = None,
 ) -> DissimilarityMatrix:
-    """Evaluate the measure on every ordered pair, diagonal included.
+    """Evaluate the measure on every ordered pair, diagonal included, by
+    its table.
 
     Every measure is exactly symmetric (d(a, b) == d(b, a) bit for bit), so
-    only pairs i <= j are evaluated and each value is mirrored to (j, i).
-    A cell-local measure reads only the cells two patterns share: an
-    index from each cell to the patterns visiting it gives the candidate
-    pairs, those that share a cell (inverted-index candidate generation,
-    as in Bayardo, Ma & Srikant, WWW 2007), and the measure runs on those
-    alone. Every other pair gets the measure's value on _DISJOINT_PAIR,
-    the same as on any pair sharing no cell. The tiakas measures have a
-    table function that computes every pair at once, or raises the error
-    of the first failing pair (0, j). Candidates run in row-major order,
-    so a failing measure names the first pair that a full row-major scan
-    would.
+    a table evaluates only pairs i <= j and mirrors each value to (j, i). A
+    cell-local table reads the pairs that share a cell from one join of the
+    points on each cell (_SameCellJoin): space, time, composite, oss and
+    cvti from its exact integer sums, lcss by running on each such pair.
+    Every other pair gets the measure's value on _DISJOINT_PAIR, the same as
+    on any pair sharing no cell. A tiakas table computes every pair at once,
+    or raises the error of the first failing pair (0, j), the pair a
+    row-major loop over all pairs fails on first.
 
-    The index and the tables are plain Python and numpy: importing
+    The join and the tables are plain Python and numpy: importing
     scipy.sparse alone costs more time and memory than building the whole
     matrix does on traces where few pairs share a cell.
     """
     if not patterns:
         raise DomainError("need at least one pattern")
-    fn = resolve_measure(measure, graph=graph, weights=weights)
+    resolve_measure(measure, graph=graph, weights=weights)
     spec = MEASURE_TABLE[measure]
     n = len(patterns)
     ids = None if ids is None else tuple(ids)
     if ids is not None and len(ids) != n:
         raise DomainError(f"{len(ids)} ids for {n} patterns")
     names = range(n) if ids is None else ids
-    if spec.table is not None:
-        try:
-            values = spec.table(patterns, *_extra(spec, graph, weights))
-        except baselines._RowError as exc:
-            j, error = exc.args
-            raise pair_failed(measure, names[0], names[j], error) from error
-        values.setflags(write=False)
-        return DissimilarityMatrix(values=values, ids=ids)
-    rows, cols = _sharing_pairs(patterns)
-    values = np.full((n, n), fn(*_DISJOINT_PAIR), dtype=np.float64)
-    found = []
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        try:
-            found.append(fn(patterns[i], patterns[j]))
-        except DomainError as exc:
-            raise pair_failed(measure, names[i], names[j], exc) from exc
-    values[rows, cols] = found
-    values[cols, rows] = found
+    try:
+        values = spec.table(patterns, *_extra(spec, graph, weights))
+    except baselines._RowError as exc:
+        j, error = exc.args
+        raise pair_failed(measure, names[0], names[j], error) from error
     values.setflags(write=False)
     return DissimilarityMatrix(values=values, ids=ids)
 
@@ -219,14 +359,20 @@ class ClusterAssignment:
 
 
 def _column_costs(contrib: np.ndarray) -> np.ndarray:
-    """Sum each column (or a 1-D array) strictly top to bottom, overwriting
-    contrib with the running sums.
+    """Sum each column of a C-order 2-D array, or a 1-D array, strictly top
+    to bottom.
 
-    np.sum may use pairwise summation, whose last bits differ from the
-    sequential ``cost += x`` definition and can flip near-ties between swaps;
-    a running accumulate adds the rows in order, and adding the 0.0 of an
-    excluded row is exact.
+    np.add.reduce over axis 0 of a C-order array with two or more columns
+    adds whole rows one after another, so each column is summed in order,
+    as the sequential ``cost += x`` definition does; a test pins this past
+    numpy's buffer size. Along a contiguous axis, as on a 1-D array or a
+    single column, reduce sums pairwise, whose last bits differ and can
+    flip near-ties between swaps; there a running accumulate adds the
+    values in order, overwriting contrib. Adding the 0.0 of an excluded row
+    is exact.
     """
+    if contrib.ndim == 2 and contrib.shape[1] > 1:
+        return np.add.reduce(contrib, axis=0)
     return np.add.accumulate(contrib, axis=0, out=contrib)[-1]
 
 

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from mobisim import baselines, measures
 from mobisim.clustering import (
     _DISJOINT_PAIR,
-    MEASURE_TABLE,
     MEASURES,
     DissimilarityMatrix,
+    _column_costs,
     build_matrix,
     kmedoids,
     resolve_measure,
@@ -315,10 +315,33 @@ class TestKmedoidsOracle:
         assert result.total_cost == result.cost_history[-1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 20_000), st.integers(0, 2**32 - 1))
+@example(9, 1, 0)
+@example(40, 8193, 0)
+def test_column_sums_add_rows_in_order(rows, cols, seed):
+    # Magnitudes 2**53 apart, so adding a column in another order, such as
+    # numpy's pairwise sum of nine or more values along a contiguous axis
+    # (a single column), rounds differently somewhere. Rows wider than
+    # numpy's 8192-element buffer are summed a block at a time.
+    values = np.random.default_rng(seed).choice([2.0**53, 1.0, 0.1, 0.3, 3.0], (rows, cols))
+    column = values[:, 0].copy()
+    total = 0.0
+    for x in column:
+        total += x
+    assert _column_costs(column) == total
+    want = values[0].copy()
+    for row in values[1:]:
+        want = want + row
+    assert same_bits(_column_costs(values), want)
+
+
 # Default weights, two skewed ones, and one whose parts do not add up to
 # exactly 1.0 in floating point, so a composite fill of plain 1.0 is wrong.
 ORACLE_WEIGHTS = (None, Weights(0.8, 0.2), Weights(0.3, 0.7), Weights(0.5, 0.5 + 4e-13))
 ORACLE_GRID = hex_grid(4, 4)
+# The measures that read only the cells two patterns share.
+CELL_LOCAL = ("space", "time", "composite", "oss", "lcss", "cvti")
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -421,9 +444,7 @@ class TestBuildMatrixOracle:
         assert "'q00' and 'q02': patterns must have equal length, got 2 and 3" in want
         assert outcome(build_matrix, pats, name, None) == want
 
-    @pytest.mark.parametrize(
-        "name", [n for n, spec in MEASURE_TABLE.items() if spec.table is None]
-    )
+    @pytest.mark.parametrize("name", CELL_LOCAL)
     def test_disjoint_value_is_the_measures_value(self, name):
         rng = random.Random(f"disjoint/{name}")
         for weights in ORACLE_WEIGHTS:
@@ -435,6 +456,85 @@ class TestBuildMatrixOracle:
                 b = random_pattern(rng, 5, max_len=8)
                 b = make_pattern([(c + 5, t) for c, t in zip(b.cells, b.slots)])
                 assert fn(a, b) == fn(b, a) == fill
+
+
+@st.composite
+def revisit_traces(draw, count=40, length=30):
+    """Up to count patterns of up to length points on at most six cells:
+    most pairs share a cell, and most patterns revisit one."""
+    n_cells = draw(st.integers(1, 6))
+    pats = []
+    for _ in range(draw(st.integers(1, count))):
+        size = draw(st.integers(1, length))
+        cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=size, max_size=size))
+        slots = sorted(draw(st.lists(st.integers(1, 11), min_size=size, max_size=size)))
+        pats.append(make_pattern(list(zip(cells, slots))))
+    return pats
+
+
+def assert_join_tables_match(pats, names=("space", "time", "oss", "cvti")):
+    """The tables that sum the same-cell join equal the loop build bit for
+    bit: those of names, and composite at every ORACLE_WEIGHTS weighting."""
+    for name in names:
+        assert_matches_loop_build(pats, name, None)
+    for weights in ORACLE_WEIGHTS:
+        assert_matches_loop_build(pats, "composite", weights)
+
+
+class TestSameCellJoin:
+    """space, time, composite, oss and cvti sum integers over one join of the
+    points on each cell; their matrices must be the per-pair functions' bit
+    for bit, however the join is cut into chunks, and past the limb bound."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(revisit_traces())
+    def test_tables_match_loop_build(self, pats):
+        assert_join_tables_match(pats)
+
+    @settings(max_examples=40, deadline=None)
+    # Chunks of 1 and 7 point pairs cut the join inside one point's slice;
+    # the traces are smaller, as each chunk costs a few dozen numpy calls.
+    @given(revisit_traces(8, 8), st.sampled_from([1, 7]))
+    def test_chunked_tables_match_loop_build(self, pats, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_CHUNK", chunk)
+            assert_join_tables_match(pats)
+
+    @settings(max_examples=30, deadline=None)
+    @given(revisit_traces(20, 15))
+    def test_sums_past_the_limb_bound_stay_exact(self, pats):
+        # With a 52-bit low limb, L * L * 2**52 >= 2**53 once a pattern has
+        # two points, so the temporal terms of time and composite are
+        # summed as Python ints.
+        paths = []
+        limbs = baselines._limbs
+
+        def recorded(terms, most):
+            found = limbs(terms, most)
+            paths.append(len(found[0]))
+            return found
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_LIMB", 52)
+            mp.setattr(baselines, "_limbs", recorded)
+            assert_join_tables_match(pats, ("time",))
+        assert set(paths) == {1 if max(map(len, pats)) > 1 else 2}
+
+    def test_dense_join_is_chunked(self):
+        # 120 walks of 20 points on 4 cells: about 720 000 same-cell point
+        # pairs, which a join kept whole would hold in each of a dozen arrays.
+        rng = random.Random(11)
+        pats = [random_pattern(rng, 4, 20, 20) for _ in range(120)]
+        tracemalloc.start()
+        try:
+            m = build_matrix(pats, "composite")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m.values.nbytes + 16 * 8 * baselines._CHUNK
+        picks = rng.sample(range(120), 10)
+        for i, j in itertools.product(picks, repeat=2):
+            assert m.values[i, j] == measures.weighted_dissimilarity(pats[i], pats[j])
 
 
 TIAKAS = ("tiakas-net", "tiakas-time", "tiakas-total")
