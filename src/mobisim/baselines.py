@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import CellGraph
-from .measures import DEFAULT_WEIGHTS, Weights, uncommon_cell_count
+from .measures import DEFAULT_WEIGHTS, GAP_TERMS, Weights, uncommon_cell_count
 from .patterns import SLOT_COUNT, MobilityPattern, slot_minutes
 
 
@@ -153,21 +153,14 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
     return float(_tiakas_net_table([a, b], graph)[0, 1])
 
 
-# TIME_TERMS[da][db] is tiakas_time's term for slot increments da and db,
-# each 0..SLOT_COUNT - 1, since slots never decrease.
-TIME_TERMS = [
-    [0.0 if da == db == 0 else abs(da - db) / max(da, db) for db in range(SLOT_COUNT)]
-    for da in range(SLOT_COUNT)
-]
-
-
 def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray:
-    """tiakas_time on every pair, from each pattern's slot increments and
-    the term in TIME_TERMS of every two increments in use."""
+    """tiakas_time on every pair, from each pattern's slot increments, each
+    0..SLOT_COUNT - 1 since slots never decrease, and the term in GAP_TERMS
+    of every two increments in use."""
     _check_row(patterns, None, 2)
     codes, steps = _coded(map(sub, p.slots[1:], p.slots) for p in patterns)
     pick = np.arange(len(steps) ** 2).reshape(len(steps), -1)
-    terms = [TIME_TERMS[da][db] for da in steps for db in steps]
+    terms = [GAP_TERMS[da][db] for da in steps for db in steps]
     return _exact_means(codes, pick, terms)
 
 

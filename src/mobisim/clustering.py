@@ -51,12 +51,8 @@ class Measure:
 _DISJOINT_PAIR = (MobilityPattern([(0, 1)]), MobilityPattern([(1, 1)]))
 
 # For two slots ta and tb, at (ta - 1) * SLOT_COUNT + tb - 1: the temporal
-# term |ta - tb| / max(ta, tb), and the minutes the two slots share.
-_GAP_TERMS = [
-    abs(ta - tb) / max(ta, tb)
-    for ta in range(1, SLOT_COUNT + 1)
-    for tb in range(1, SLOT_COUNT + 1)
-]
+# term, and the minutes the two slots share.
+_GAP_TERMS = [term for row in measures.GAP_TERMS[1:] for term in row[1:]]
 _OVERLAP_MINUTES = [m for row in baselines._SLOT_OVERLAP for m in row]
 # _SameCellJoin's chunks hold at least _JOIN_CHUNK point pairs and at most
 # baselines._CHUNK. Arrays of 64 KiB, not 512 KiB, kept the cluster-dense
@@ -358,24 +354,6 @@ class ClusterAssignment:
     cost_history: tuple[float, ...] = field(repr=False)
 
 
-def _column_costs(contrib: np.ndarray) -> np.ndarray:
-    """Sum each column of a C-order 2-D array, or a 1-D array, strictly top
-    to bottom.
-
-    np.add.reduce over axis 0 of a C-order array with two or more columns
-    adds whole rows one after another, so each column is summed in order,
-    as the sequential ``cost += x`` definition does; a test pins this past
-    numpy's buffer size. Along a contiguous axis, as on a 1-D array or a
-    single column, reduce sums pairwise, whose last bits differ and can
-    flip near-ties between swaps; there a running accumulate adds the
-    values in order, overwriting contrib. Adding the 0.0 of an excluded row
-    is exact.
-    """
-    if contrib.ndim == 2 and contrib.shape[1] > 1:
-        return np.add.reduce(contrib, axis=0)
-    return np.add.accumulate(contrib, axis=0, out=contrib)[-1]
-
-
 def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment:
     """PAM-style k-medoids over a precomputed matrix.
 
@@ -389,8 +367,12 @@ def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment
     evaluates all k*(n-k) swaps as array operations, O(k*n^2) per round:
     for each medoid, every candidate's cost is one column of
     min(nearest other medoid, candidate) with the trial's medoid rows
-    zeroed. Costs are summed left to right, so they equal the sequential
-    definition bit for bit. total_cost is the last cost_history entry.
+    zeroed. np.add.reduce over axis 0 of that C-order table adds whole rows
+    one after another, so each column is summed top to bottom, as the
+    sequential ``cost += x`` definition does, bit for bit; a test pins this
+    past numpy's buffer size. The starting cost is the first round's swap
+    of the first medoid for itself. total_cost is the last cost_history
+    entry.
     """
     k = as_int(k, "k")
     if not 1 <= k <= m.n:
@@ -399,12 +381,7 @@ def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment
     values = m.values
     rng = random.Random(seed)
     medoids = sorted(rng.sample(range(m.n), k))
-    # Medoid rows contribute nothing: the diagonal need not be zero for
-    # every measure.
-    nearest = values[:, medoids].min(axis=1)
-    nearest[medoids] = 0.0
-    cost = _column_costs(nearest)
-    history = [cost]
+    history: list[float] = []
 
     trial = np.empty((m.n, m.n))
     while True:
@@ -415,9 +392,14 @@ def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment
                 values[:, others].min(axis=1) if others else np.full(m.n, np.inf)
             )
             np.minimum(d_other[:, None], values, out=trial)
+            # Medoid rows contribute nothing: the diagonal need not be zero
+            # for every measure.
             trial[others] = 0.0
             np.fill_diagonal(trial, 0.0)
-            table[row] = _column_costs(trial)
+            table[row] = np.add.reduce(trial, axis=0)
+        if not history:
+            cost = table[0, medoids[0]]
+            history.append(cost)
         table[:, medoids] = np.inf
         row, cand = divmod(int(np.argmin(table)), m.n)
         if not table[row, cand] < cost:

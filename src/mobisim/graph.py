@@ -196,8 +196,9 @@ class CellGraph:
         sweep from a max-degree cell gives a lower bound L and a path whose
         midpoint u is the centre: three Python BFS runs in all. A path
         longer than L has an end v with 2 d(u, v) > L, so the eccentricities
-        of those cells, the outer fringes of u, settle the diameter. They
-        are scanned farthest first, _BATCH sources at a time, each batch one
+        of those cells, the outer fringes of u, settle the diameter. Those
+        but the two sweep sources, whose eccentricities are known, are
+        scanned farthest first, _BATCH sources at a time, each batch one
         bit-parallel BFS (_bit_bfs) whose level count is the largest
         eccentricity among its sources; once L has risen to 2 d(u, v) of a
         batch's first cell, that batch and all later ones are skipped.
@@ -217,7 +218,12 @@ class CellGraph:
                 u = next(w for w in self._adj[u] if levels[w] == depth)
             levels = self._bfs(u)
             lower = max(lower, max(levels))
-            far = [v for v, depth in enumerate(levels) if 2 * depth > lower]
+            # Neither sweep source can raise lower: on a path with an even
+            # number of cells a is the only fringe cell.
+            far = [
+                v for v, depth in enumerate(levels)
+                if 2 * depth > lower and v != a and v != start
+            ]
             far.sort(key=levels.__getitem__, reverse=True)
             neighbors = self._padded_neighbors() if far else None
             for first in range(0, len(far), _BATCH):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .patterns import MobilityPattern
+from .patterns import SLOT_COUNT, MobilityPattern
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,13 @@ class Weights:
 
 
 DEFAULT_WEIGHTS = Weights()
+
+# GAP_TERMS[x][y] is the normalized gap |x - y| / max(x, y) of two slots
+# (1..SLOT_COUNT) or two slot increments (0..SLOT_COUNT - 1), 0.0 at (0, 0).
+GAP_TERMS = [
+    [abs(x - y) / max(x, y) if x or y else 0.0 for y in range(SLOT_COUNT + 1)]
+    for x in range(SLOT_COUNT + 1)
+]
 
 
 def uncommon_cell_count(a: MobilityPattern, b: MobilityPattern) -> int:
@@ -69,7 +76,7 @@ def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     """
     sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
     return _mean_gap([
-        abs(sa[i] - sb[j]) / max(sa[i], sb[j])
+        GAP_TERMS[sa[i]][sb[j]]
         for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]
     ])
 
@@ -77,23 +84,6 @@ def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
 def weighted_dissimilarity(
     a: MobilityPattern, b: MobilityPattern, weights: Weights | None = None
 ) -> float:
-    """Convex combination of the spatial and temporal dissimilarities.
-
-    One walk over the shared cells gives both the uncommon cell count and
-    the temporal terms, the same integers and doubles that the two parts
-    compute on their own.
-    """
+    """Convex combination of the spatial and temporal dissimilarities."""
     w = DEFAULT_WEIGHTS if weights is None else weights
-    sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
-    uncommon = len(a) + len(b)
-    terms: list[float] = []
-    add = terms.append
-    for c in va.keys() & vb.keys():
-        pa, pb = va[c], vb[c]
-        uncommon -= len(pa) + len(pb)
-        for i in pa:
-            ta = sa[i]
-            for j in pb:
-                tb = sb[j]
-                add(abs(ta - tb) / max(ta, tb))
-    return w.space * (uncommon / (len(a) + len(b))) + w.time * _mean_gap(terms)
+    return w.space * spatial_dissimilarity(a, b) + w.time * temporal_dissimilarity(a, b)

@@ -12,7 +12,6 @@ from mobisim.clustering import (
     _DISJOINT_PAIR,
     MEASURES,
     DissimilarityMatrix,
-    _column_costs,
     build_matrix,
     kmedoids,
     resolve_measure,
@@ -50,9 +49,11 @@ TIE_VALUES = (0.1, 0.2, 0.3, 0.7, 0.9)
 def oracle_matrix(rng: random.Random, n: int, family: str) -> DissimilarityMatrix:
     """uniform: symmetric, zero diagonal; ties: symmetric over TIE_VALUES;
     diagonal: uniform plus a nonzero diagonal; asymmetric: every entry
-    drawn from TIE_VALUES, diagonal included."""
-    if family == "asymmetric":
-        values = np.array([[rng.choice(TIE_VALUES) for _ in range(n)] for _ in range(n)])
+    drawn from TIE_VALUES, diagonal included; signed-zeros: every entry
+    drawn from -0.0, 0.0 and 1.0, diagonal included."""
+    if family in ("asymmetric", "signed-zeros"):
+        pool = TIE_VALUES if family == "asymmetric" else (-0.0, 0.0, 1.0)
+        values = np.array([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
         return DissimilarityMatrix(values)
     draw = (lambda: rng.choice(TIE_VALUES)) if family == "ties" else (
         lambda: rng.uniform(0.05, 1.0)
@@ -270,14 +271,23 @@ class TestKmedoidsOracle:
     """kmedoids must equal the loop PAM bit for bit: same medoids, assignment,
     total_cost and cost_history, so the same swap is taken on every tie."""
 
-    @pytest.mark.parametrize("family", ["uniform", "ties", "diagonal", "asymmetric"])
+    @pytest.mark.parametrize(
+        "family", ["uniform", "ties", "diagonal", "asymmetric", "signed-zeros"]
+    )
     def test_matches_loop_pam_on_random_matrices(self, family):
+        # == cannot tell a cost of -0.0 from 0.0, so the costs are compared
+        # bit for bit too.
         rng = random.Random(f"oracle/{family}")
+        sizes = set()
         for trial in range(80):
             n = rng.randint(1, 16)
+            sizes.add(n)
             m = oracle_matrix(rng, n, family)
             for k in sorted({1, rng.randint(1, n), n}):
-                assert kmedoids(m, k, seed=trial) == brute_kmedoids(m, k, seed=trial)
+                got, want = kmedoids(m, k, seed=trial), brute_kmedoids(m, k, seed=trial)
+                assert got == want
+                assert same_bits(np.array(got.cost_history), np.array(want.cost_history))
+        assert 1 in sizes
 
     def test_matches_loop_pam_on_composite_walks(self):
         grid = hex_grid(3, 4)
@@ -316,24 +326,20 @@ class TestKmedoidsOracle:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 20_000), st.integers(0, 2**32 - 1))
-@example(9, 1, 0)
+@given(st.integers(1, 40), st.integers(2, 20_000), st.integers(0, 2**32 - 1))
+@example(9, 2, 0)
 @example(40, 8193, 0)
 def test_column_sums_add_rows_in_order(rows, cols, seed):
-    # Magnitudes 2**53 apart, so adding a column in another order, such as
-    # numpy's pairwise sum of nine or more values along a contiguous axis
-    # (a single column), rounds differently somewhere. Rows wider than
-    # numpy's 8192-element buffer are summed a block at a time.
+    # kmedoids sums its costs by np.add.reduce over axis 0 of a C-order
+    # table with two or more columns. Magnitudes 2**53 apart, so adding a
+    # column in another order, such as numpy's pairwise sum of nine or more
+    # values along a contiguous axis, rounds differently somewhere. Rows
+    # wider than numpy's 8192-element buffer are summed a block at a time.
     values = np.random.default_rng(seed).choice([2.0**53, 1.0, 0.1, 0.3, 3.0], (rows, cols))
-    column = values[:, 0].copy()
-    total = 0.0
-    for x in column:
-        total += x
-    assert _column_costs(column) == total
     want = values[0].copy()
     for row in values[1:]:
         want = want + row
-    assert same_bits(_column_costs(values), want)
+    assert same_bits(np.add.reduce(values, axis=0), want)
 
 
 # Default weights, two skewed ones, and one whose parts do not add up to

@@ -267,6 +267,22 @@ class TestDiameter:
             assert g.diameter() == brute_diameter(g)
             assert len(passes) > 1 and max(passes) == batch
 
+    def test_paths_need_no_fringe_pass(self, monkeypatch):
+        # On a path with an even number of cells the one fringe cell is the
+        # second sweep's source, whose eccentricity is already known; a
+        # one-source pass for it made a 99 992-cell path take about 41 s.
+        passes, bit_bfs = [], CellGraph._bit_bfs
+
+        def counted(self, nbr, sources):
+            passes.append((self.vertex_count, list(sources)))
+            return bit_bfs(self, nbr, sources)
+
+        monkeypatch.setattr(CellGraph, "_bit_bfs", counted)
+        for n in range(2, 65):
+            g = CellGraph(n, [(i, i + 1) for i in range(n - 1)])
+            assert g.diameter() == n - 1
+        assert passes == []
+
     def test_three_python_sweeps(self, monkeypatch):
         sweeps, bfs = [], CellGraph._bfs
 
