@@ -13,6 +13,8 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from . import casestudy
 from .clustering import MEASURE_TABLE, MEASURES, DissimilarityMatrix, build_matrix
 from .clustering import kmedoids, pair_failed, resolve_measure
@@ -20,6 +22,11 @@ from .errors import DomainError
 from .graph import CellGraph, load_graph
 from .measures import Weights
 from .patterns import MobilityPattern, format_trace, load_trace
+
+# cmd_matrix formats the text in blocks of whole rows holding at most this
+# many values, each distinct value of a block once: the block's strings are
+# one object array, and a whole n x n one raises the peak memory.
+_TEXT_VALUES = 1 << 16
 
 
 def _inputs(args: argparse.Namespace) -> tuple[dict, CellGraph | None, Weights | None]:
@@ -63,12 +70,17 @@ def _matrix(args: argparse.Namespace) -> DissimilarityMatrix:
 def cmd_matrix(args: argparse.Namespace) -> str:
     m = _matrix(args)
     lines = ["id," + ",".join(m.ids)]
-    # One %-template per row gives the same bytes as f"{v:.6f}" per value,
-    # with one format call per row instead of one per value.
-    template = ",".join(["%.6f"] * m.n)
-    # One row at a time: a list of every value at once raises the peak memory.
-    for pid, row in zip(m.ids, m.values):
-        lines.append(pid + "," + template % tuple(row.tolist()))
+    rows = max(1, _TEXT_VALUES // m.n)
+    for start in range(0, m.n, rows):
+        block = m.values[start : start + rows]
+        # Keyed by bits, not by value, so -0.0 and 0.0 stay apart.
+        keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        # %.6f never writes a comma: one template call formats every key.
+        text = ",".join(["%.6f"] * len(keys)) % tuple(keys.view(np.float64).tolist())
+        # numpy 1.x returns the inverse flat, 2.x in the block's shape.
+        cells = np.array(text.split(","), dtype=object)[inverse.reshape(block.shape)]
+        for pid, row in zip(m.ids[start : start + rows], cells.tolist()):
+            lines.append(pid + "," + ",".join(row))
     return _emit("\n".join(lines) + "\n", args.out)
 
 

@@ -22,10 +22,11 @@ _BATCH = 1024
 class CellGraph:
     """Unweighted bidirected graph over cell ids 0..vertex_count-1.
 
-    Immutable after construction. Only the diameter value is cached: BFS
-    levels live no longer than the call that asked for them, so memory
-    never grows with the sources queried. The tiakas measures read
-    hop_table, per pair as per matrix.
+    Immutable after construction. Only the diameter value and the
+    neighbour arrays of the bit-parallel BFS (_padded_neighbors, O(cap * V))
+    are cached, each built on first use: BFS levels live no longer than the
+    call that asked for them, so memory never grows with the sources
+    queried. The tiakas measures read hop_table, per pair as per matrix.
     Edges are stored both ways: adding (a, b) implies (b, a).
     """
 
@@ -50,6 +51,7 @@ class CellGraph:
             tuple(sorted(s)) for s in adjacency
         )
         self._diameter: int | None = None
+        self._neighbors: tuple[np.ndarray, ...] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -126,9 +128,7 @@ class CellGraph:
         hubs = np.flatnonzero(hub)
         return nbr, hubs, flat[np.repeat(hub, degree)], np.cumsum(degree[hubs]) - degree[hubs]
 
-    def _bit_bfs(
-        self, neighbors: tuple[np.ndarray, ...], sources: Sequence[int]
-    ) -> Iterator[np.ndarray]:
+    def _bit_bfs(self, sources: Sequence[int]) -> Iterator[np.ndarray]:
         """One BFS from every source at once, one bit per source (Then et
         al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
         VLDB 2015), yielding after level 0, 1, ... the bits of the sources
@@ -142,7 +142,9 @@ class CellGraph:
         own, so the levels yielded are one more than the largest
         eccentricity of the sources.
         """
-        nbr, hubs, hub_nbrs, starts = neighbors
+        if self._neighbors is None:
+            self._neighbors = self._padded_neighbors()
+        nbr, hubs, hub_nbrs, starts = self._neighbors
         n, u = self._n, len(sources)
         words = -(-u // 64)
         bits = np.packbits(np.eye(u, words * 64, dtype=bool), axis=1).view(np.uint64)
@@ -173,14 +175,15 @@ class CellGraph:
         (i, j) counts the levels after which cell i still lacked cell j's
         bit, which is their distance; the graph is undirected, so the table
         is symmetric. Memory is O(V * U / 64 + E + U^2), since the
-        neighbour array pads cells to at most twice the mean degree: two
-        cells of a 2000-cell star peak at about 0.2 MB, where padding to
-        the hub's degree took 34.5 MB.
+        neighbour array, built on the graph's first pass and kept, pads
+        cells to at most twice the mean degree: two cells of a 2000-cell
+        star peak at about 0.2 MB, where padding to the hub's degree took
+        34.5 MB.
         """
         cells = [self._check_cell(c) for c in cells]
         u = len(cells)
         table = np.zeros((u, u), dtype=np.int32)
-        for unseen in self._bit_bfs(self._padded_neighbors(), cells):
+        for unseen in self._bit_bfs(cells):
             missing = np.unpackbits(unseen[cells].view(np.uint8), axis=1, count=u).view(bool)
             if not missing.any():
                 return table
@@ -225,11 +228,10 @@ class CellGraph:
                 if 2 * depth > lower and v != a and v != start
             ]
             far.sort(key=levels.__getitem__, reverse=True)
-            neighbors = self._padded_neighbors() if far else None
             for first in range(0, len(far), _BATCH):
                 if 2 * levels[far[first]] <= lower:
                     break
-                passes = self._bit_bfs(neighbors, far[first : first + _BATCH])
+                passes = self._bit_bfs(far[first : first + _BATCH])
                 lower = max(lower, sum(1 for _ in passes) - 1)
             self._diameter = lower
         return self._diameter

@@ -52,6 +52,21 @@ def per_value_text(m: DissimilarityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Values whose bits differ but whose text may not (-0.0, 0.0 and -1e-9), and
+# values %.6f rounds at a tie or carries into a new digit.
+TEXT_POOL = (-0.0, 0.0, -1e-9, 2.5e-7, 0.1234565, 999999.9999995, 135.0, 7.0)
+
+
+@st.composite
+def text_matrices(draw):
+    """Small square matrices whose values repeat, drawn mostly from TEXT_POOL."""
+    n = draw(st.integers(1, 9))
+    value = st.sampled_from(TEXT_POOL) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(value, min_size=n * n, max_size=n * n))
+    ids = tuple(f"p{i}" for i in range(n))
+    return DissimilarityMatrix(np.array(values).reshape(n, n), ids=ids)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -338,8 +353,12 @@ class TestMatrix:
                 assert abs(got - want) <= 1e-6
 
 
+    @pytest.mark.parametrize("block", [1, cli._TEXT_VALUES])
     @pytest.mark.parametrize("measure", ["lcss", "cvti", "composite"])
-    def test_text_is_per_value_format(self, capsys, graph_path, tmp_path, measure):
+    def test_text_is_per_value_format(
+        self, capsys, monkeypatch, graph_path, tmp_path, measure, block
+    ):
+        monkeypatch.setattr(cli, "_TEXT_VALUES", block)
         gen_path = tmp_path / "gen.csv"
         run_cli(
             capsys, "gen", "--graph", graph_path, "--count", "9",
@@ -362,7 +381,19 @@ class TestMatrix:
         assert out == per_value_text(m)
         assert out.splitlines()[1] == "a,-0.000000,0.000000,-0.000000"
 
-    def test_stdout_equals_out_file(self, capsys, trace_path, tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(text_matrices(), st.sampled_from([1, 7, None]))
+    def test_blocked_text_is_per_value_format(self, m, rows):
+        # Blocks of one row and of 7 rows, or the default size.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_matrix", lambda args: m)
+            if rows:
+                mp.setattr(cli, "_TEXT_VALUES", rows * m.n)
+            assert cli.cmd_matrix(argparse.Namespace(out=None)) == per_value_text(m)
+
+    @pytest.mark.parametrize("block", [1, cli._TEXT_VALUES])
+    def test_stdout_equals_out_file(self, capsys, monkeypatch, trace_path, tmp_path, block):
+        monkeypatch.setattr(cli, "_TEXT_VALUES", block)
         out_path = tmp_path / "m.csv"
         code, _, _ = run_cli(capsys, "matrix", "--trace", trace_path, "--out", str(out_path))
         assert code == 0

@@ -833,7 +833,7 @@ class TestTiakasTables:
         finally:
             tracemalloc.stop()
         assert pair == [m.values[i, i + 1] for i in range(19)]
-        assert set(vars(g)) == {"_n", "_adj", "_diameter"}
+        assert set(vars(g)) == {"_n", "_adj", "_diameter", "_neighbors"}
         assert retained - m.values.nbytes < 2**17
 
 

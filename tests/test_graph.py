@@ -168,7 +168,9 @@ class TestHopTable:
             g.hop_distance(v, 0)
         g.hop_table(range(g.vertex_count))
         g.diameter()
-        assert set(vars(g)) == {"_n", "_adj", "_diameter"}
+        # Besides the diameter, only the cap x V neighbour array is kept.
+        assert set(vars(g)) == {"_n", "_adj", "_diameter", "_neighbors"}
+        assert g._neighbors[0].shape == (6, 36)
 
 
 @pytest.mark.parametrize(
@@ -257,9 +259,9 @@ class TestDiameter:
         monkeypatch.setattr(graph_module, "_BATCH", batch)
         passes, bit_bfs = [], CellGraph._bit_bfs
 
-        def counted(self, nbr, sources):
+        def counted(self, sources):
             passes.append(len(sources))
-            return bit_bfs(self, nbr, sources)
+            return bit_bfs(self, sources)
 
         monkeypatch.setattr(CellGraph, "_bit_bfs", counted)
         for g in (_cycle(301), _broom(4, 100), hex_grid(30, 30)):
@@ -273,9 +275,9 @@ class TestDiameter:
         # one-source pass for it made a 99 992-cell path take about 41 s.
         passes, bit_bfs = [], CellGraph._bit_bfs
 
-        def counted(self, nbr, sources):
+        def counted(self, sources):
             passes.append((self.vertex_count, list(sources)))
-            return bit_bfs(self, nbr, sources)
+            return bit_bfs(self, sources)
 
         monkeypatch.setattr(CellGraph, "_bit_bfs", counted)
         for n in range(2, 65):
@@ -293,6 +295,21 @@ class TestDiameter:
         monkeypatch.setattr(CellGraph, "_bfs", counted)
         assert hex_grid(40, 40).diameter() == 59
         assert len(sweeps) == 3
+
+    def test_one_neighbour_build_per_graph(self, monkeypatch):
+        builds, padded = [], CellGraph._padded_neighbors
+
+        def counted(self):
+            builds.append(self.vertex_count)
+            return padded(self)
+
+        monkeypatch.setattr(CellGraph, "_padded_neighbors", counted)
+        g = hex_grid(30, 30)
+        assert g.diameter() == brute_diameter(g)
+        assert builds == [900]
+        assert g.hop_table([0, 899])[0, 1] == g.hop_distance(0, 899)
+        assert g.hop_table([5]).tolist() == [[0]]
+        assert builds == [900]
 
     def test_keeps_no_level_lists(self):
         g = hex_grid(40, 40)
