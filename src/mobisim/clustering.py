@@ -36,7 +36,7 @@ class Measure:
     (0, j), when a pair fails, and its fn is its table on the one pair. The
     other measures are cell-local: they read only the cells two patterns
     share, so each has one value on every pair that shares no cell, and
-    their tables read the other pairs from _SameCellJoin.
+    each table is _cell_local, one _SameCellJoin and one value function.
     """
 
     fn: Callable[..., float]
@@ -62,7 +62,10 @@ _JOIN_CHUNK = 1 << 13
 
 class _SameCellJoin:
     """Exact sums over the point pairs on a common cell, for each pair of
-    patterns rows[c] <= cols[c] that shares a cell, in row-major order.
+    patterns rows[c] <= cols[c] that shares a cell, in row-major order. Each
+    cell-local measure has one value function over these candidates: space,
+    time, composite, oss and cvti combine the sums, and lcss runs on the two
+    patterns.
 
     la and lb are the two lengths; count is the number of point pairs (p, q)
     on a common cell, p of the row pattern and q of the column pattern; gap
@@ -70,7 +73,7 @@ class _SameCellJoin:
     is la + lb less the points on a shared cell; overlap sums their
     _OVERLAP_MINUTES; displacement sums |pos_p - pos_q| over the pairs
     where p is the row pattern's k-th point on the cell and q the column
-    pattern's k-th. With sums false, only rows and cols are found.
+    pattern's k-th.
 
     A dict groups the points by cell, each group in pattern and position
     order, so a pattern's points on a cell are one run of its group. Each
@@ -91,7 +94,7 @@ class _SameCellJoin:
     Python ints.
     """
 
-    def __init__(self, patterns: Sequence[MobilityPattern], sums: bool = True):
+    def __init__(self, patterns: Sequence[MobilityPattern]):
         n = len(patterns)
         lengths = np.array([len(p) for p in patterns])
         visitors: dict[int, list[int]] = {}
@@ -137,8 +140,6 @@ class _SameCellJoin:
         keys = np.flatnonzero(index)
         self.patterns = patterns
         self.rows, self.cols = np.divmod(keys, n)
-        if not sums:
-            return
         size = len(keys)
         index[keys] = np.arange(size)
         limbs, scale = baselines._limbs(_GAP_TERMS, int(lengths.max()) ** 2)
@@ -206,13 +207,10 @@ def _oss(j: _SameCellJoin) -> np.ndarray:
     return (j.displacement / np.maximum(j.la, j.lb) + j.uncommon) / (j.la + j.lb)
 
 
-def _lcss_table(patterns: Sequence[MobilityPattern]) -> np.ndarray:
-    """A longest common subsequence is no sum: lcss runs on each pair that
-    shares a cell."""
-    join = _SameCellJoin(patterns, sums=False)
-    pairs = zip(join.rows.tolist(), join.cols.tolist())
-    lengths = [baselines.lcss(patterns[i], patterns[j]) for i, j in pairs]
-    return join.spread(baselines.lcss(*_DISJOINT_PAIR), lengths)
+def _lcss(j: _SameCellJoin) -> list[int]:
+    """A longest common subsequence is no sum: lcss runs on each candidate."""
+    pairs = zip(j.rows.tolist(), j.cols.tolist())
+    return [baselines.lcss(j.patterns[a], j.patterns[b]) for a, b in pairs]
 
 
 MEASURE_TABLE: dict[str, Measure] = {
@@ -228,7 +226,7 @@ MEASURE_TABLE: dict[str, Measure] = {
         reads_weights=True,
     ),
     "oss": _cell_local(baselines.oss, _oss),
-    "lcss": Measure(baselines.lcss, _lcss_table, similarity=True),
+    "lcss": _cell_local(baselines.lcss, _lcss, similarity=True),
     "cvti": _cell_local(baselines.cvti, lambda j: j.overlap, similarity=True),
 }
 
@@ -308,12 +306,11 @@ def build_matrix(
     Every measure is exactly symmetric (d(a, b) == d(b, a) bit for bit), so
     a table evaluates only pairs i <= j and mirrors each value to (j, i). A
     cell-local table reads the pairs that share a cell from one join of the
-    points on each cell (_SameCellJoin): space, time, composite, oss and
-    cvti from its exact integer sums, lcss by running on each such pair.
-    Every other pair gets the measure's value on _DISJOINT_PAIR, the same as
-    on any pair sharing no cell. A tiakas table computes every pair at once,
-    or raises the error of the first failing pair (0, j), the pair a
-    row-major loop over all pairs fails on first.
+    points on each cell (_SameCellJoin), by the measure's value function on
+    the join. Every other pair gets the measure's value on _DISJOINT_PAIR,
+    the same as on any pair sharing no cell. A tiakas table computes every
+    pair at once, or raises the error of the first failing pair (0, j), the
+    pair a row-major loop over all pairs fails on first.
 
     The join and the tables are plain Python and numpy: importing
     scipy.sparse alone costs more time and memory than building the whole
@@ -398,13 +395,13 @@ def kmedoids(m: DissimilarityMatrix, k: int, seed: int = 0) -> ClusterAssignment
             np.fill_diagonal(trial, 0.0)
             table[row] = np.add.reduce(trial, axis=0)
         if not history:
-            cost = table[0, medoids[0]]
+            cost = float(table[0, medoids[0]])
             history.append(cost)
         table[:, medoids] = np.inf
         row, cand = divmod(int(np.argmin(table)), m.n)
         if not table[row, cand] < cost:
             break
-        cost = table[row, cand]
+        cost = float(table[row, cand])
         medoids = sorted([c for c in medoids if c != medoids[row]] + [cand])
         history.append(cost)
 

@@ -7,6 +7,7 @@ cells directly. Distances are hop counts from breadth-first search.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -338,21 +339,16 @@ def save_graph(g: CellGraph, path: str) -> None:
         fh.write(format_graph(g))
 
 
-_example: CellGraph | None = None
-
-
+@cache
 def example_graph() -> CellGraph:
     """The bundled 12-cell sample coverage region.
 
     A hexagonal patch with diameter 4, used by the `casestudy` command and
     handy as a small realistic fixture. Loaded once from package data.
     """
-    global _example
-    if _example is None:
-        text = (
-            resources.files("mobisim.data")
-            .joinpath("example_graph.txt")
-            .read_text(encoding="utf-8")
-        )
-        _example = parse_graph(text)
-    return _example
+    text = (
+        resources.files("mobisim.data")
+        .joinpath("example_graph.txt")
+        .read_text(encoding="utf-8")
+    )
+    return parse_graph(text)

@@ -23,6 +23,7 @@ from mobisim.patterns import make_pattern
 from support import (
     brute_build_matrix,
     brute_kmedoids,
+    dp_lcss,
     fsum_tiakas,
     has_repeat_at_distinct_slots,
     random_connected_graph,
@@ -323,6 +324,7 @@ class TestKmedoidsOracle:
         assert len(result.cost_history) > 1
         assert result == brute_kmedoids(m, 8, seed=1)
         assert result.total_cost == result.cost_history[-1]
+        assert {type(c) for c in (result.total_cost, *result.cost_history)} == {float}
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,8 +480,8 @@ def revisit_traces(draw, count=40, length=30):
     return pats
 
 
-def assert_join_tables_match(pats, names=("space", "time", "oss", "cvti")):
-    """The tables that sum the same-cell join equal the loop build bit for
+def assert_join_tables_match(pats, names=("space", "time", "oss", "lcss", "cvti")):
+    """The tables built on the same-cell join equal the loop build bit for
     bit: those of names, and composite at every ORACLE_WEIGHTS weighting."""
     for name in names:
         assert_matches_loop_build(pats, name, None)
@@ -488,9 +490,11 @@ def assert_join_tables_match(pats, names=("space", "time", "oss", "cvti")):
 
 
 class TestSameCellJoin:
-    """space, time, composite, oss and cvti sum integers over one join of the
-    points on each cell; their matrices must be the per-pair functions' bit
-    for bit, however the join is cut into chunks, and past the limb bound."""
+    """Every cell-local table reads one join of the points on each cell:
+    space, time, composite, oss and cvti sum integers over it, and lcss runs
+    on each candidate pair. Their matrices must be the per-pair functions'
+    bit for bit, however the join is cut into chunks, and past the limb
+    bound."""
 
     @settings(max_examples=30, deadline=None)
     @given(revisit_traces())
@@ -525,6 +529,22 @@ class TestSameCellJoin:
             mp.setattr(baselines, "_limbs", recorded)
             assert_join_tables_match(pats, ("time",))
         assert set(paths) == {1 if max(map(len, pats)) > 1 else 2}
+
+    def test_lcss_across_word_lengths(self):
+        # Two patterns of each length on three cells, so cells repeat: one
+        # point, and either side of the 53 bits of a double's mantissa and
+        # of the 64 bits of a machine word, where a bit-parallel LCS would
+        # change how it holds a pattern's match mask.
+        rng = random.Random(23)
+        pats = [
+            random_pattern(rng, 3, length, length)
+            for length in (1, 53, 54, 63, 64, 65)
+            for _ in range(2)
+        ]
+        got = build_matrix(pats, "lcss").values
+        assert same_bits(got, brute_build_matrix(pats, "lcss").values)
+        want = [[dp_lcss(a, b) for b in pats] for a in pats]
+        assert got.tolist() == want
 
     def test_dense_join_is_chunked(self):
         # 120 walks of 20 points on 4 cells: about 720 000 same-cell point
