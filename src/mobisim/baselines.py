@@ -77,19 +77,19 @@ def _limbs(terms: list[float], most: int) -> tuple[tuple[np.ndarray, ...], Calla
     Every term is a non-negative double, so each is an integer multiple k of
     2**-e for the largest e any of them needs, and math.fsum of some terms
     is their exact sum of k's times 2**-e, rounded once. While most of them
-    stay below 2**53, the k's are two int64 limbs, k = hi * 2**30 + lo:
-    each limb sum is an exact double, and scale(hi_sum, lo_sum), one float
-    addition of the two scaled sums, rounds their exact total once. Past
-    that bound limbs holds the k's as Python ints, and scale(total), one
-    int division by 2**e, rounds each total once. Integer sums are exact in
-    any order.
+    stay below 2**53, the k's are two limbs, k = hi * 2**30 + lo, held as
+    doubles: every limb sum stays below 2**53, so it is exact in any order,
+    and scale(hi_sum, lo_sum), one float addition of the two scaled sums,
+    rounds their exact total once. Past that bound limbs holds the k's as
+    Python ints, and scale(total), one int division by 2**e, rounds each
+    total once. Integer sums are exact in any order.
     """
     ratios = [t.as_integer_ratio() for t in terms]
     e = max(den.bit_length() - 1 for _, den in ratios)
     ks = [num << (e - den.bit_length() + 1) for num, den in ratios]
     if most * max(max(ks) >> _LIMB, 1 << _LIMB) < 2**53:
         hi, lo = [k >> _LIMB for k in ks], [k & (1 << _LIMB) - 1 for k in ks]
-        limbs = (np.array(hi, dtype=np.int64), np.array(lo, dtype=np.int64))
+        limbs = (np.array(hi, dtype=np.float64), np.array(lo, dtype=np.float64))
         return limbs, lambda hi_sum, lo_sum: hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
     return (np.array(ks, dtype=object),), lambda total: total / (1 << e)
 

@@ -53,10 +53,10 @@ _DISJOINT_PAIR = (MobilityPattern([(0, 1)]), MobilityPattern([(1, 1)]))
 # For two slots ta and tb, at (ta - 1) * SLOT_COUNT + tb - 1: the temporal
 # term, and the minutes the two slots share.
 _GAP_TERMS = [term for row in measures.GAP_TERMS[1:] for term in row[1:]]
-_OVERLAP_MINUTES = [m for row in baselines._SLOT_OVERLAP for m in row]
-# _SameCellJoin's chunks hold at least _JOIN_CHUNK point pairs and at most
-# baselines._CHUNK. Arrays of 64 KiB, not 512 KiB, kept the cluster-dense
-# benchmark's peak RSS about 0.45 MB lower at the same speed.
+_OVERLAP_MINUTES = np.array(baselines._SLOT_OVERLAP, dtype=np.float64).ravel()
+# _SameCellJoin marks candidates in chunks of _JOIN_CHUNK point pairs, sums in
+# chunks of max(_JOIN_CHUNK, candidates), all at most baselines._CHUNK: 8 192,
+# not 65 536, kept cluster-dense's peak RSS about 0.45 MB lower, as fast.
 _JOIN_CHUNK = 1 << 13
 
 
@@ -143,10 +143,8 @@ class _SameCellJoin:
         size = len(keys)
         index[keys] = np.arange(size)
         limbs, scale = baselines._limbs(_GAP_TERMS, int(lengths.max()) ** 2)
-        limbs = [limb if limb.dtype == object else limb.astype(np.float64) for limb in limbs]
         slot_row = slot * SLOT_COUNT
         first = (rank == 0) * 1.0
-        overlap = np.array(_OVERLAP_MINUTES, dtype=np.float64)
         count, shared, minutes, displacement = np.zeros((4, size))
         gap_sums = [np.zeros(size, dtype=limb.dtype) for limb in limbs]
         # Each chunk's bincounts write size-long arrays: a shorter chunk
@@ -156,7 +154,7 @@ class _SameCellJoin:
             term = left(slot_row) + slot[q]
             count += np.bincount(pair, minlength=size)
             shared += np.bincount(pair, left(first) + first[q], size)
-            minutes += np.bincount(pair, overlap[term], size)
+            minutes += np.bincount(pair, _OVERLAP_MINUTES[term], size)
             moved = np.abs(left(pos) - pos[q]) * (left(rank) == rank[q])
             displacement += np.bincount(pair, moved, size)
             for total, limb in zip(gap_sums, limbs):
@@ -171,15 +169,6 @@ class _SameCellJoin:
         self.overlap = minutes
         self.displacement = displacement
 
-    def spread(self, fill: float, found) -> np.ndarray:
-        """The n x n matrix holding found at (rows, cols) and (cols, rows),
-        and fill everywhere else."""
-        n = len(self.patterns)
-        values = np.full((n, n), fill, dtype=np.float64)
-        values[self.rows, self.cols] = found
-        values[self.cols, self.rows] = found
-        return values
-
 
 def _cell_local(fn: Callable[..., float], value: Callable[..., object], **flags) -> Measure:
     """A cell-local measure: fn, and the table that puts value(join, *extra)
@@ -187,7 +176,10 @@ def _cell_local(fn: Callable[..., float], value: Callable[..., object], **flags)
 
     def table(patterns: Sequence[MobilityPattern], *extra) -> np.ndarray:
         join = _SameCellJoin(patterns)
-        return join.spread(fn(*_DISJOINT_PAIR, *extra), value(join, *extra))
+        # lcss and cvti fill with an int, and the matrix is float64 all the same.
+        values = np.full((len(patterns),) * 2, fn(*_DISJOINT_PAIR, *extra), dtype=np.float64)
+        values[join.rows, join.cols] = values[join.cols, join.rows] = value(join, *extra)
+        return values
 
     return Measure(fn, table, **flags)
 
@@ -241,7 +233,7 @@ def resolve_measure(
     """Turn a measure selector into a two-pattern callable.
 
     Measures that read a graph require one; measures that read weights
-    default to 0.5/0.5. Similarities are returned as floats.
+    default to 0.5/0.5. Every measure's value comes back as a Python float.
     """
     spec = MEASURE_TABLE.get(name)
     if spec is None:
@@ -251,13 +243,8 @@ def resolve_measure(
     if spec.reads_graph and graph is None:
         raise DomainError(f"measure {name!r} requires a cell graph")
 
-    fn = spec.fn
-    if spec.similarity:
-        return lambda a, b: float(fn(a, b))
     extra = _extra(spec, graph, weights)
-    if not extra:
-        return fn
-    return lambda a, b: fn(a, b, *extra)
+    return lambda a, b: float(spec.fn(a, b, *extra))
 
 
 def _extra(spec: Measure, graph: CellGraph | None, weights: Weights | None) -> tuple:
@@ -280,6 +267,10 @@ class DissimilarityMatrix:
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"matrix values are not numbers: {exc}") from None
         shape = self.values.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DomainError(f"matrix shape {shape} is not square")

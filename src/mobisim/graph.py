@@ -324,9 +324,8 @@ def parse_graph(text: str) -> CellGraph:
 
 def format_graph(g: CellGraph) -> str:
     """Canonical text form of a graph: sorted `edge a b` lines with a < b."""
-    undirected = sorted({(min(a, b), max(a, b)) for a, b in g.edges})
     lines = [f"cells {g.vertex_count}"]
-    lines += [f"edge {a} {b}" for a, b in undirected]
+    lines += [f"edge {a} {b}" for a in range(g.vertex_count) for b in g.neighbors(a) if b > a]
     return "\n".join(lines) + "\n"
 
 

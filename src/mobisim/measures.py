@@ -58,14 +58,6 @@ def spatial_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     return uncommon_cell_count(a, b) / (len(a) + len(b))
 
 
-def _mean_gap(terms: list[float]) -> float:
-    if not terms:
-        return 1.0
-    # fsum keeps the sum independent of term order, so swapping the
-    # arguments yields the bit-identical result.
-    return math.fsum(terms) / len(terms)
-
-
 def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     """Mean normalized timestamp gap over all cross-pattern matches.
 
@@ -75,10 +67,12 @@ def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     patterns count as temporally maximally apart: the result is 1.
     """
     sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
-    return _mean_gap([
-        GAP_TERMS[sa[i]][sb[j]]
-        for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]
-    ])
+    terms = [GAP_TERMS[sa[i]][sb[j]] for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]]
+    if not terms:
+        return 1.0
+    # fsum keeps the sum independent of term order, so swapping the
+    # arguments yields the bit-identical result.
+    return math.fsum(terms) / len(terms)
 
 
 def weighted_dissimilarity(

@@ -13,7 +13,7 @@ timestamp.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, FormatError, as_int, load_text
 
@@ -119,11 +119,7 @@ class MobilityPattern:
         return "<pattern " + str(self)[1:]
 
 
-def make_pattern(
-    pairs: Sequence[tuple[int, int]], strict: bool = False
-) -> MobilityPattern:
-    """Build a validated pattern from (cell id, timestamp index) pairs."""
-    return MobilityPattern(pairs, strict=strict)
+make_pattern = MobilityPattern
 
 
 def is_subpattern(b: MobilityPattern, a: MobilityPattern) -> bool:

@@ -212,7 +212,9 @@ def fsum_tiakas(measure: str, graph: CellGraph | None, weights: Weights | None):
 
 def brute_diameter(g: CellGraph) -> int:
     """The all-sources loop: a BFS from every cell, keeping the largest
-    level; any unreachable cell means the graph is not connected."""
+    level; any unreachable cell means the graph is not connected. Each
+    cell's neighbours are read once, before the first BFS."""
+    neighbors = [g.neighbors(v) for v in range(g.vertex_count)]
     best = 0
     for v in range(g.vertex_count):
         levels = [-1] * g.vertex_count
@@ -221,7 +223,7 @@ def brute_diameter(g: CellGraph) -> int:
         while frontier:
             nxt = []
             for x in frontier:
-                for y in g.neighbors(x):
+                for y in neighbors[x]:
                     if levels[y] < 0:
                         levels[y] = levels[x] + 1
                         nxt.append(y)

@@ -358,14 +358,16 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def outcome(build, pats, name, weights, graph=ORACLE_GRID, named=True):
-    """The values build gives, or the text of the DomainError it raises;
-    the patterns are named q00, q01, ... unless named is false."""
+    """The values build gives, a read-only float64 array, or the text of the
+    DomainError it raises; the patterns are named q00, q01, ... unless named
+    is false."""
     ids = [f"q{i:02d}" for i in range(len(pats))] if named else None
     try:
         m = build(pats, name, graph=graph, weights=weights, ids=ids)
     except DomainError as exc:
         return str(exc)
     assert m.ids == (ids and tuple(ids))
+    assert m.values.dtype == np.float64 and not m.values.flags.writeable
     return m.values
 
 
@@ -644,7 +646,7 @@ def exact_mean_inputs(draw):
 # _CHUNK 1 and 5 split even these small inputs into blocks of rows and of
 # columns.
 @given(exact_mean_inputs(), st.sampled_from([1, 5, 1 << 16]))
-# One input within the int64 limb bound and one past it, where 5e-324 makes
+# One input within the two-limb bound and one past it, where 5e-324 makes
 # the integer of 1.0 2**1074.
 @example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [1 / 3, 0.5, 1.0]), 5)
 @example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [5e-324, 0.5, 1.0]), 5)
@@ -785,7 +787,7 @@ class TestTiakasTables:
 
     def test_sums_past_the_limb_bound_stay_exact(self, monkeypatch):
         # With a 52-bit low limb, L * 2**52 >= 2**53 for every length L >= 2,
-        # so those tables sum Python ints instead of int64 limbs.
+        # so those tables sum Python ints instead of two limbs.
         monkeypatch.setattr(baselines, "_LIMB", 52)
         exact_means, lengths = baselines._exact_means, []
 
@@ -868,6 +870,31 @@ class TestMatrixValidation:
         bad[0, 1] = float("nan")
         with pytest.raises(DomainError):
             DissimilarityMatrix(bad)
+
+    def test_nested_lists_become_float64(self):
+        m = DissimilarityMatrix(values=[[0, 1], [1.0, 0.0]])
+        assert m.values.dtype == np.float64 and m.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert kmedoids(m, 1).total_cost == 1.0
+
+    def test_read_only_float64_is_not_copied(self):
+        values = np.zeros((2, 2))
+        values.setflags(write=False)
+        assert DissimilarityMatrix(values).values is values
+
+    @pytest.mark.parametrize("values", [
+        np.array([["a", "b"], ["c", "d"]]),
+        np.array([[0.0, "x"], [1.0, 0.0]], dtype=object),
+        [[0.0, 1.0], [1.0]],
+        [[0.0, {}], [1.0, 0.0]],
+        "ab",
+    ])
+    def test_non_numbers_rejected(self, values):
+        with pytest.raises(DomainError, match="matrix values are not numbers"):
+            DissimilarityMatrix(values)
+
+    def test_none_is_not_finite(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            DissimilarityMatrix([[0.0, None], [1.0, 0.0]])
 
     def test_ids_length_checked(self):
         assert DissimilarityMatrix(np.zeros((2, 2)), ids=("a", "b")).n == 2

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mobisim import graph as graph_module
 from mobisim.clustering import DissimilarityMatrix, kmedoids
@@ -354,9 +354,15 @@ class TestHexGrid:
 
 
 class TestGraphFiles:
-    def test_round_trip(self, tmp_path):
-        g = example_graph()
+    @settings(deadline=None)
+    @given(_graphs)
+    @example(example_graph())
+    def test_round_trip(self, g):
+        # The canonical text: every undirected edge once as (a, b), a < b, sorted.
+        undirected = sorted({(min(a, b), max(a, b)) for a, b in g.edges})
+        want = [f"cells {g.vertex_count}"] + [f"edge {a} {b}" for a, b in undirected]
         text = format_graph(g)
+        assert text == "\n".join(want) + "\n"
         again = parse_graph(text)
         assert again.vertex_count == g.vertex_count
         assert again.edges == g.edges
