@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import sub
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .graph import CellGraph
-from .measures import DEFAULT_WEIGHTS, GAP_TERMS, Weights, uncommon_cell_count
+from .measures import DEFAULT_WEIGHTS, GAP, GAP_SCALE, Weights, uncommon_cell_count
 from .patterns import SLOT_COUNT, MobilityPattern, slot_minutes
 
 
@@ -64,63 +64,28 @@ def _check_row(
             raise _RowError(j, exc) from exc
 
 
-# A term is split into 30-bit limbs, and no temporary of the pair sums
-# holds more than _CHUNK values.
-_LIMB = 30
+# No temporary of the pair sums holds more than _CHUNK values.
 _CHUNK = 1 << 16
 
 
-def _limbs(terms: list[float], most: int) -> tuple[tuple[np.ndarray, ...], Callable]:
-    """(limbs, scale): the terms as exact integers, to be summed up to most
-    at a time, and how to turn such an integer sum back into a double.
+def _pair_sums(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sums[i, j] = the sum of table[codes[i, l], codes[j, l]] over the L
+    columns l, as int64, for every pair at once. Below 2**53 each sum is
+    an exact double, so one division by an int rounds each exact mean once.
 
-    Every term is a non-negative double, so each is an integer multiple k of
-    2**-e for the largest e any of them needs, and math.fsum of some terms
-    is their exact sum of k's times 2**-e, rounded once. While most of them
-    stay below 2**53, the k's are two limbs, k = hi * 2**30 + lo, held as
-    doubles: every limb sum stays below 2**53, so it is exact in any order,
-    and scale(hi_sum, lo_sum), one float addition of the two scaled sums,
-    rounds their exact total once. Past that bound limbs holds the k's as
-    Python ints, and scale(total), one int division by 2**e, rounds each
-    total once. Integer sums are exact in any order.
-    """
-    ratios = [t.as_integer_ratio() for t in terms]
-    e = max(den.bit_length() - 1 for _, den in ratios)
-    ks = [num << (e - den.bit_length() + 1) for num, den in ratios]
-    if most * max(max(ks) >> _LIMB, 1 << _LIMB) < 2**53:
-        hi, lo = [k >> _LIMB for k in ks], [k & (1 << _LIMB) - 1 for k in ks]
-        limbs = (np.array(hi, dtype=np.float64), np.array(lo, dtype=np.float64))
-        return limbs, lambda hi_sum, lo_sum: hi_sum * 2.0 ** (_LIMB - e) + lo_sum * 2.0 ** -e
-    return (np.array(ks, dtype=object),), lambda total: total / (1 << e)
-
-
-def _exact_means(codes: np.ndarray, pick: np.ndarray, terms: list[float]) -> np.ndarray:
-    """values[i, j] = math.fsum(terms[pick[codes[i, l], codes[j, l]]] for
-    each of the L columns l) / L, bit for bit, for every pair at once.
-
-    The terms are summed as the exact integers of _limbs. Each chunk of rows
-    sums blocks of columns at once, no temporary holding more than about
-    _CHUNK values: memory grows with n^2, not n^2 * L.
+    Each chunk of rows sums blocks of columns at once, no temporary holding
+    more than about _CHUNK values: memory grows with n^2, not n^2 * L.
     """
     n, length = codes.shape
-    limbs, scale = _limbs(terms, length)
-    values = np.empty((n, n))
+    sums = np.zeros((n, n), dtype=np.int64)
     step = max(1, _CHUNK // n)
     for start in range(0, n, step):
         rows = codes[start : start + step, None]
         width = max(1, _CHUNK // (len(rows) * n))
-        sums = [0] * len(limbs)
         for col in range(0, length, width):
-            term = pick[rows[..., col : col + width], codes[:, col : col + width]]
-            sums = [total + limb[term].sum(axis=2) for total, limb in zip(sums, limbs)]
-        values[start : start + step] = scale(*sums) / length
-    return values
-
-
-def net_term(hops: int, dia: int) -> float:
-    """One position's tiakas_net term: hops / dia, and 0.0 for 0 hops, so a
-    one-cell graph (diameter 0) never divides by 0."""
-    return hops / dia if hops else 0.0
+            terms = table[rows[..., col : col + width], codes[:, col : col + width]]
+            sums[start : start + step] += terms.sum(axis=2, dtype=np.int64)
+    return sums
 
 
 def _coded(rows: Iterable[Iterable[int]]) -> tuple[np.ndarray, list[int]]:
@@ -133,21 +98,22 @@ def _coded(rows: Iterable[Iterable[int]]) -> tuple[np.ndarray, list[int]]:
 
 
 def _tiakas_net_table(patterns: Sequence[MobilityPattern], graph: CellGraph) -> np.ndarray:
-    """tiakas_net on every pair: one hop table over the cells in use, whose
-    entries index the dia + 1 possible terms."""
+    """tiakas_net on every pair: the hops of one hop table over the cells in
+    use, summed, over the diameter times the length; a one-cell graph, every
+    hop 0, gives 0.0."""
     _check_row(patterns, graph, 1)
     dia = graph.diameter()
     codes, cells = _coded(p.cells for p in patterns)
-    terms = [net_term(h, dia) for h in range(dia + 1)]
-    return _exact_means(codes, graph.hop_table(cells), terms)
+    return _pair_sums(codes, graph.hop_table(cells)) / (max(dia, 1) * codes.shape[1])
 
 
 def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> float:
     """Network distance: mean per-position hop distance scaled by diameter.
 
     Defined only for patterns of equal length whose cells are all in a
-    connected graph. Each position contributes net_term of the hop distance
-    between its two cells, and the terms are summed exactly, as by fsum.
+    connected graph. Each position contributes the hop distance between its
+    two cells over the diameter: the value is the hop sum over diameter
+    times length, two exact integers divided once.
     """
     _check_pair(a, b, graph, 1)
     return float(_tiakas_net_table([a, b], graph)[0, 1])
@@ -155,13 +121,12 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
 
 def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray:
     """tiakas_time on every pair, from each pattern's slot increments, each
-    0..SLOT_COUNT - 1 since slots never decrease, and the term in GAP_TERMS
-    of every two increments in use."""
+    0..SLOT_COUNT - 1 since slots never decrease: the GAP of every two
+    increments in use, summed, over GAP_SCALE times the step count."""
     _check_row(patterns, None, 2)
     codes, steps = _coded(map(sub, p.slots[1:], p.slots) for p in patterns)
-    pick = np.arange(len(steps) ** 2).reshape(len(steps), -1)
-    terms = [GAP_TERMS[da][db] for da in steps for db in steps]
-    return _exact_means(codes, pick, terms)
+    table = np.array([[GAP[da][db] for db in steps] for da in steps])
+    return _pair_sums(codes, table) / (GAP_SCALE * codes.shape[1])
 
 
 def tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:

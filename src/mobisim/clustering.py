@@ -50,9 +50,9 @@ class Measure:
 # this pair is its value on every pair that shares no cell.
 _DISJOINT_PAIR = (MobilityPattern([(0, 1)]), MobilityPattern([(1, 1)]))
 
-# For two slots ta and tb, at (ta - 1) * SLOT_COUNT + tb - 1: the temporal
-# term, and the minutes the two slots share.
-_GAP_TERMS = [term for row in measures.GAP_TERMS[1:] for term in row[1:]]
+# For two slots ta and tb, at (ta - 1) * SLOT_COUNT + tb - 1: the GAP
+# numerator of the temporal term, and the minutes the two slots share.
+_GAP = np.array([g for row in measures.GAP[1:] for g in row[1:]], dtype=np.float64)
 _OVERLAP_MINUTES = np.array(baselines._SLOT_OVERLAP, dtype=np.float64).ravel()
 # _SameCellJoin marks candidates in chunks of _JOIN_CHUNK point pairs, sums in
 # chunks of max(_JOIN_CHUNK, candidates), all at most baselines._CHUNK: 8 192,
@@ -69,11 +69,10 @@ class _SameCellJoin:
 
     la and lb are the two lengths; count is the number of point pairs (p, q)
     on a common cell, p of the row pattern and q of the column pattern; gap
-    is the sum of their temporal terms as a double, rounded once; uncommon
-    is la + lb less the points on a shared cell; overlap sums their
-    _OVERLAP_MINUTES; displacement sums |pos_p - pos_q| over the pairs
-    where p is the row pattern's k-th point on the cell and q the column
-    pattern's k-th.
+    sums their measures.GAP numerators; uncommon is la + lb less the points
+    on a shared cell; overlap sums their _OVERLAP_MINUTES; displacement sums
+    |pos_p - pos_q| over the pairs where p is the row pattern's k-th point
+    on the cell and q the column pattern's k-th.
 
     A dict groups the points by cell, each group in pattern and position
     order, so a pattern's points on a cell are one run of its group. Each
@@ -89,9 +88,8 @@ class _SameCellJoin:
     mark then maps each candidate to its place in the list: as int32 it is
     half the size of the matrix filled after it is freed, and a binary
     search of the list took longer than the rest of the join. A double sums
-    integers exactly below 2**53; the temporal terms are the exact integers
-    of baselines._limbs, and past its limb bound np.add.at sums them as
-    Python ints.
+    integers exactly below 2**53: every GAP numerator is below 2**15, so gap
+    is exact while a candidate has fewer than about 3.6e11 point pairs.
     """
 
     def __init__(self, patterns: Sequence[MobilityPattern]):
@@ -142,29 +140,23 @@ class _SameCellJoin:
         self.rows, self.cols = np.divmod(keys, n)
         size = len(keys)
         index[keys] = np.arange(size)
-        limbs, scale = baselines._limbs(_GAP_TERMS, int(lengths.max()) ** 2)
         slot_row = slot * SLOT_COUNT
         first = (rank == 0) * 1.0
-        count, shared, minutes, displacement = np.zeros((4, size))
-        gap_sums = [np.zeros(size, dtype=limb.dtype) for limb in limbs]
+        count, gap, shared, minutes, displacement = np.zeros((5, size))
         # Each chunk's bincounts write size-long arrays: a shorter chunk
         # would spend its time there.
         for left, q in chunks(min(baselines._CHUNK, max(_JOIN_CHUNK, size))):
             pair = index[left(row_key) + owner[q]]
             term = left(slot_row) + slot[q]
             count += np.bincount(pair, minlength=size)
+            gap += np.bincount(pair, _GAP[term], size)
             shared += np.bincount(pair, left(first) + first[q], size)
             minutes += np.bincount(pair, _OVERLAP_MINUTES[term], size)
             moved = np.abs(left(pos) - pos[q]) * (left(rank) == rank[q])
             displacement += np.bincount(pair, moved, size)
-            for total, limb in zip(gap_sums, limbs):
-                if limb.dtype == object:
-                    np.add.at(total, pair, limb[term])
-                else:
-                    total += np.bincount(pair, limb[term], size)
         self.la, self.lb = lengths[self.rows], lengths[self.cols]
         self.count = count
-        self.gap = np.asarray(scale(*gap_sums), dtype=np.float64)
+        self.gap = gap
         self.uncommon = self.la + self.lb - shared
         self.overlap = minutes
         self.displacement = displacement
@@ -190,9 +182,13 @@ def _space(j: _SameCellJoin) -> np.ndarray:
     return j.uncommon / (j.la + j.lb)
 
 
+def _time(j: _SameCellJoin) -> np.ndarray:
+    return j.gap / (measures.GAP_SCALE * j.count)
+
+
 def _composite(j: _SameCellJoin, weights: Weights | None) -> np.ndarray:
     w = measures.DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * _space(j) + w.time * (j.gap / j.count)
+    return w.space * _space(j) + w.time * _time(j)
 
 
 def _oss(j: _SameCellJoin) -> np.ndarray:
@@ -207,7 +203,7 @@ def _lcss(j: _SameCellJoin) -> list[int]:
 
 MEASURE_TABLE: dict[str, Measure] = {
     "space": _cell_local(measures.spatial_dissimilarity, _space),
-    "time": _cell_local(measures.temporal_dissimilarity, lambda j: j.gap / j.count),
+    "time": _cell_local(measures.temporal_dissimilarity, _time),
     "composite": _cell_local(measures.weighted_dissimilarity, _composite, reads_weights=True),
     "tiakas-net": Measure(baselines.tiakas_net, baselines._tiakas_net_table, reads_graph=True),
     "tiakas-time": Measure(baselines.tiakas_time, baselines._tiakas_time_table),
@@ -268,7 +264,12 @@ class DissimilarityMatrix:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+            raw = np.asarray(self.values)
+            if raw.dtype.kind in "cSUV" or raw.dtype == object and any(
+                isinstance(v, (str, bytes, complex, np.complexfloating)) for v in raw.flat
+            ):
+                raise TypeError("str, bytes, complex or void values are not real numbers")
+            object.__setattr__(self, "values", np.asarray(raw, dtype=np.float64))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"matrix values are not numbers: {exc}") from None
         shape = self.values.shape

@@ -35,10 +35,12 @@ class Weights:
 
 DEFAULT_WEIGHTS = Weights()
 
-# GAP_TERMS[x][y] is the normalized gap |x - y| / max(x, y) of two slots
-# (1..SLOT_COUNT) or two slot increments (0..SLOT_COUNT - 1), 0.0 at (0, 0).
-GAP_TERMS = [
-    [abs(x - y) / max(x, y) if x or y else 0.0 for y in range(SLOT_COUNT + 1)]
+# GAP[x][y] / GAP_SCALE is the normalized gap |x - y| / max(x, y) of two
+# slots (1..SLOT_COUNT) or two slot increments (0..SLOT_COUNT - 1), 0 at
+# (0, 0). GAP_SCALE is a multiple of every max(x, y), so each GAP is an int.
+GAP_SCALE = math.lcm(*range(1, SLOT_COUNT + 1))
+GAP = [
+    [abs(x - y) * (GAP_SCALE // max(x, y)) if x or y else 0 for y in range(SLOT_COUNT + 1)]
     for x in range(SLOT_COUNT + 1)
 ]
 
@@ -67,12 +69,12 @@ def temporal_dissimilarity(a: MobilityPattern, b: MobilityPattern) -> float:
     patterns count as temporally maximally apart: the result is 1.
     """
     sa, sb, va, vb = a.slots, b.slots, a.visits, b.visits
-    terms = [GAP_TERMS[sa[i]][sb[j]] for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]]
+    terms = [GAP[sa[i]][sb[j]] for c in va.keys() & vb.keys() for i in va[c] for j in vb[c]]
     if not terms:
         return 1.0
-    # fsum keeps the sum independent of term order, so swapping the
-    # arguments yields the bit-identical result.
-    return math.fsum(terms) / len(terms)
+    # An int sum is the same in any order, and int / int rounds the exact
+    # mean once, so swapping the arguments yields the bit-identical result.
+    return sum(terms) / (GAP_SCALE * len(terms))
 
 
 def weighted_dissimilarity(

@@ -7,8 +7,9 @@ no shared code with the package, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
-import math
 import random
+from collections import Counter
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -88,15 +89,16 @@ def brute_d_time(a: MobilityPattern, b: MobilityPattern) -> float:
     return total / k if k else 1.0
 
 
-def scan_d_time(a: MobilityPattern, b: MobilityPattern) -> float:
-    """The L_a x L_b scan over all point pairs, summed with fsum: the
-    temporal dissimilarity bit for bit."""
+def exact_d_time(a: MobilityPattern, b: MobilityPattern) -> float:
+    """The L_a x L_b scan over all point pairs, each term an exact Fraction,
+    and float() of their mean, which rounds it once: the temporal
+    dissimilarity bit for bit."""
     terms = []
     for ca, ta in zip(a.cells, a.slots):
         for cb, tb in zip(b.cells, b.slots):
             if ca == cb:
-                terms.append(abs(ta - tb) / max(ta, tb))
-    return math.fsum(terms) / len(terms) if terms else 1.0
+                terms.append(Fraction(abs(ta - tb), max(ta, tb)))
+    return float(sum(terms) / len(terms)) if terms else 1.0
 
 
 def scan_oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:
@@ -153,30 +155,32 @@ def brute_cvti(a: MobilityPattern, b: MobilityPattern) -> int:
     return total
 
 
-def fsum_tiakas_net(
+def exact_tiakas_net(
     a: MobilityPattern, b: MobilityPattern, graph: CellGraph, hops: dict | None = None
 ) -> float:
     """tiakas_net per position: equal lengths, then the diameter, then the
-    hop_distance of each position (a's cell checked before b's), and the
-    terms h / dia (0 for 0 hops) summed with fsum. hops, if given, keeps
+    hop_distance of each position (a's cell checked before b's), and
+    float() of the mean of the Fractions h / dia (0 for 0 hops), each
+    distinct h counted once with its multiplicity. hops, if given, keeps
     each distance, under its cells in ascending order, for later calls on
     the same graph."""
     if len(a) != len(b):
         raise DomainError(f"patterns must have equal length, got {len(a)} and {len(b)}")
     dia = graph.diameter()
     hops = {} if hops is None else hops
-    terms = []
+    seen = Counter()
     for va, vb in zip(a.cells, b.cells):
         key = min(va, vb), max(va, vb)
         if key not in hops:
             hops[key] = graph.hop_distance(va, vb)
-        terms.append(hops[key] / dia if hops[key] else 0.0)
-    return math.fsum(terms) / len(terms)
+        seen[hops[key]] += 1
+    total = sum(n * Fraction(h, dia) for h, n in seen.items() if h)
+    return float(Fraction(total) / len(a))
 
 
-def fsum_tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
-    """tiakas_time per step: |da - db| / max(da, db) of the two slot
-    increments, 0 where both are 0, summed with fsum."""
+def exact_tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
+    """tiakas_time per step: float() of the mean of the Fractions
+    |da - db| / max(da, db) of the two slot increments, 0 where both are 0."""
     if len(a) != len(b):
         raise DomainError(f"patterns must have equal length, got {len(a)} and {len(b)}")
     if len(a) < 2:
@@ -184,11 +188,11 @@ def fsum_tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
     terms = []
     for i in range(len(a) - 1):
         da, db = a.slots[i + 1] - a.slots[i], b.slots[i + 1] - b.slots[i]
-        terms.append(0.0 if da == db == 0 else abs(da - db) / max(da, db))
-    return math.fsum(terms) / len(terms)
+        terms.append(Fraction(0) if da == db == 0 else Fraction(abs(da - db), max(da, db)))
+    return float(sum(terms) / len(terms))
 
 
-def fsum_tiakas_total(
+def exact_tiakas_total(
     a: MobilityPattern,
     b: MobilityPattern,
     graph: CellGraph,
@@ -196,17 +200,17 @@ def fsum_tiakas_total(
     hops: dict | None = None,
 ) -> float:
     w = DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * fsum_tiakas_net(a, b, graph, hops) + w.time * fsum_tiakas_time(a, b)
+    return w.space * exact_tiakas_net(a, b, graph, hops) + w.time * exact_tiakas_time(a, b)
 
 
-def fsum_tiakas(measure: str, graph: CellGraph | None, weights: Weights | None):
+def exact_tiakas(measure: str, graph: CellGraph | None, weights: Weights | None):
     """The two-pattern oracle of a tiakas-* measure, sharing one hop cache
     across its calls, or None for the other measures."""
     hops: dict = {}
     return {
-        "tiakas-net": lambda a, b: fsum_tiakas_net(a, b, graph, hops),
-        "tiakas-time": fsum_tiakas_time,
-        "tiakas-total": lambda a, b: fsum_tiakas_total(a, b, graph, weights, hops),
+        "tiakas-net": lambda a, b: exact_tiakas_net(a, b, graph, hops),
+        "tiakas-time": exact_tiakas_time,
+        "tiakas-total": lambda a, b: exact_tiakas_total(a, b, graph, weights, hops),
     }.get(measure)
 
 
@@ -272,11 +276,11 @@ def brute_build_matrix(
     ids: Sequence[str] | None = None,
 ) -> DissimilarityMatrix:
     """The loop build: evaluate the measure on every ordered pair, diagonal
-    included, in row-major order; a tiakas-* measure by its fsum oracle."""
+    included, in row-major order; a tiakas-* measure by its exact oracle."""
     if not patterns:
         raise DomainError("need at least one pattern")
     fn = resolve_measure(measure, graph=graph, weights=weights)
-    fn = fsum_tiakas(measure, graph, weights) or fn
+    fn = exact_tiakas(measure, graph, weights) or fn
     n = len(patterns)
     ids = None if ids is None else tuple(ids)
     if ids is not None and len(ids) != n:

@@ -28,9 +28,9 @@ from support import (
     brute_d_time,
     brute_lcss,
     brute_uncommon,
-    fsum_tiakas_net,
-    fsum_tiakas_time,
-    fsum_tiakas_total,
+    exact_tiakas_net,
+    exact_tiakas_time,
+    exact_tiakas_total,
     has_repeat_at_distinct_slots,
     random_connected_graph,
     random_pattern,
@@ -184,15 +184,15 @@ def test_criterion_4_property_suite_10000_pairs():
 def check_tiakas_pairs(graph, pairs):
     """Each tiakas measure on each pair (c, d), read from one matrix per
     measure over all pairs of a length: in [0, 1], exactly symmetric, zero
-    on (c, c) and equal to the fsum oracle."""
+    on (c, c) and equal to the exact oracle."""
     by_length = {}
     for c, d in pairs:
         by_length.setdefault(len(c), []).extend((c, d))
     hops = {}
     for name, oracle in (
-        ("tiakas-net", lambda c, d: fsum_tiakas_net(c, d, graph, hops)),
-        ("tiakas-time", fsum_tiakas_time),
-        ("tiakas-total", lambda c, d: fsum_tiakas_total(c, d, graph, None, hops)),
+        ("tiakas-net", lambda c, d: exact_tiakas_net(c, d, graph, hops)),
+        ("tiakas-time", exact_tiakas_time),
+        ("tiakas-total", lambda c, d: exact_tiakas_total(c, d, graph, None, hops)),
     ):
         for pats in by_length.values():
             m = build_matrix(pats, name, graph=graph).values

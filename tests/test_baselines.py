@@ -29,11 +29,11 @@ from support import (
     brute_make_pattern,
     brute_uncommon,
     dp_lcss,
-    fsum_tiakas_net,
-    fsum_tiakas_time,
+    exact_d_time,
+    exact_tiakas_net,
+    exact_tiakas_time,
     random_connected_graph,
     random_pattern,
-    scan_d_time,
     scan_oss_components,
 )
 
@@ -302,9 +302,9 @@ def test_visit_index_kernels_equal_scan_oracles(pair, space):
         }
         assert uncommon_cell_count(a, b) == brute_uncommon(a, b)
         assert spatial_dissimilarity(a, b) == brute_d_space(a, b)
-        assert temporal_dissimilarity(a, b) == scan_d_time(a, b)
+        assert temporal_dissimilarity(a, b) == exact_d_time(a, b)
         assert weighted_dissimilarity(a, b, w) == (
-            w.space * brute_d_space(a, b) + w.time * scan_d_time(a, b)
+            w.space * brute_d_space(a, b) + w.time * exact_d_time(a, b)
         )
         f, g = scan_oss_components(a, b)
         assert oss_components(a, b) == (f, g)
@@ -325,7 +325,7 @@ def test_tiakas_net_scales_with_any_graph():
 
 
 def test_tiakas_net_matches_per_position_definition():
-    # 0 on a shared cell, otherwise hops over the diameter, summed with fsum.
+    # 0 on a shared cell, otherwise hops over the diameter, their mean exact.
     rng = random.Random(31)
     for _ in range(50):
         g = random_connected_graph(rng, 2, 10)
@@ -333,7 +333,15 @@ def test_tiakas_net_matches_per_position_definition():
         a = random_pattern(rng, g.vertex_count, min_len=length, max_len=length)
         b = random_pattern(rng, g.vertex_count, min_len=length, max_len=length)
         for x, y in ((a, b), (a, a)):
-            assert tiakas_net(x, y, g) == fsum_tiakas_net(x, y, g)
+            assert tiakas_net(x, y, g) == exact_tiakas_net(x, y, g)
+
+
+def test_tiakas_net_mean_is_rounded_once():
+    # Hops 2 and 3 over diameter 3: the exact mean 5/6, where summing the
+    # rounded terms 2/3 and 1.0 gave 0.8333333333333333.
+    g = CellGraph(4, [(0, 1), (1, 2), (2, 3)])
+    a, b = make_pattern([(0, 1), (0, 2)]), make_pattern([(2, 1), (3, 2)])
+    assert tiakas_net(a, b, g) == tiakas_net(b, a, g) == 0.8333333333333334
 
 
 def test_tiakas_time_matches_per_step_definition_on_every_increment_pair():
@@ -341,7 +349,7 @@ def test_tiakas_time_matches_per_step_definition_on_every_increment_pair():
         for db in range(11):
             a = make_pattern([(0, 1), (0, 1 + da)])
             b = make_pattern([(1, 1), (1, 1 + db)])
-            assert tiakas_time(a, b) == fsum_tiakas_time(a, b)
+            assert tiakas_time(a, b) == exact_tiakas_time(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,4 +357,4 @@ def test_tiakas_time_matches_per_step_definition_on_every_increment_pair():
 def test_tiakas_time_matches_per_step_definition(pair):
     a, b = pair
     for x, y in ((a, b), (b, a), (a, a)):
-        assert tiakas_time(x, y) == fsum_tiakas_time(x, y)
+        assert tiakas_time(x, y) == exact_tiakas_time(x, y)

@@ -293,11 +293,15 @@ class TestDist:
         )
         assert (code, out, err) == (3, "", f"error: {path}: {message}\n")
 
-    def test_trace_errors_name_file_and_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("p0,1,x,3", "line 3: non-integer field"),
+        (",1,2,3", "line 3: empty pattern id"),
+    ])
+    def test_trace_errors_name_file_and_line(self, capsys, tmp_path, line, message):
         path = tmp_path / "bad.csv"
-        path.write_text("pattern_id,seq,cell,timestamp_index\np0,0,1,2\np0,1,x,3\n")
+        path.write_text(f"pattern_id,seq,cell,timestamp_index\np0,0,1,2\n{line}\n")
         code, out, err = run_cli(capsys, "dist", "p0", "p0", "--trace", str(path))
-        assert (code, out, err) == (3, "", f"error: {path}: line 3: non-integer field\n")
+        assert (code, out, err) == (3, "", f"error: {path}: {message}\n")
 
     def test_unknown_measure_is_usage_error(self, capsys, trace_path):
         with pytest.raises(SystemExit) as exc:
@@ -598,13 +602,14 @@ class TestGen:
         assert len(patterns) == count
         assert all(min_len <= len(p) <= min_len + extra for p in patterns.values())
 
-    def test_bad_bounds(self, capsys, graph_path):
-        code, _, err = run_cli(
-            capsys, "gen", "--graph", graph_path, "--count", "2",
-            "--min-len", "5", "--max-len", "3",
-        )
+    @pytest.mark.parametrize("args, message", [
+        (("--count", "2", "--min-len", "5", "--max-len", "3"), "need 1 <= min-len <= max-len"),
+        (("--count", "-1"), "count must be non-negative, got -1"),
+    ])
+    def test_bad_bounds(self, capsys, graph_path, args, message):
+        code, _, err = run_cli(capsys, "gen", "--graph", graph_path, *args)
         assert code == 3
-        assert "error:" in err
+        assert err.startswith(f"error: {message}")
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,8 @@
 import itertools
-import math
 import random
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from mobisim.measures import Weights
 from mobisim.patterns import make_pattern
 from support import (
     brute_build_matrix,
+    brute_d_space,
     brute_kmedoids,
     dp_lcss,
-    fsum_tiakas,
+    exact_tiakas,
     has_repeat_at_distinct_slots,
     random_connected_graph,
     random_pattern,
@@ -495,8 +497,8 @@ class TestSameCellJoin:
     """Every cell-local table reads one join of the points on each cell:
     space, time, composite, oss and cvti sum integers over it, and lcss runs
     on each candidate pair. Their matrices must be the per-pair functions'
-    bit for bit, however the join is cut into chunks, and past the limb
-    bound."""
+    bit for bit, however the join is cut into chunks, and on patterns of
+    thousands of points."""
 
     @settings(max_examples=30, deadline=None)
     @given(revisit_traces())
@@ -512,25 +514,34 @@ class TestSameCellJoin:
             mp.setattr(baselines, "_CHUNK", chunk)
             assert_join_tables_match(pats)
 
-    @settings(max_examples=30, deadline=None)
-    @given(revisit_traces(20, 15))
-    def test_sums_past_the_limb_bound_stay_exact(self, pats):
-        # With a 52-bit low limb, L * L * 2**52 >= 2**53 once a pattern has
-        # two points, so the temporal terms of time and composite are
-        # summed as Python ints.
-        paths = []
-        limbs = baselines._limbs
+    def test_time_is_the_exact_mean_on_long_patterns(self):
+        # Two 3 000-point patterns on four cells: each pair of them has
+        # over 2**21 same-cell point pairs. The oracle counts each slot pair
+        # on each cell and sums their Fraction terms. On this seed, an exact
+        # sum of the rounded terms, as math.fsum gives, misses three of the
+        # four exact means by an ulp.
+        rng = random.Random(21)
+        pats = [random_pattern(rng, 4, 3000, 3000) for _ in range(2)]
+        slots = [
+            [Counter(t for c, t in zip(p.cells, p.slots) if c == cell) for cell in range(4)]
+            for p in pats
+        ]
 
-        def recorded(terms, most):
-            found = limbs(terms, most)
-            paths.append(len(found[0]))
-            return found
+        def exact(i, j):
+            total, count = Fraction(0), 0
+            for sa, sb in zip(slots[i], slots[j]):
+                for (ta, na), (tb, nb) in itertools.product(sa.items(), sb.items()):
+                    total += na * nb * Fraction(abs(ta - tb), max(ta, tb))
+                    count += na * nb
+            return float(total / count)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(baselines, "_LIMB", 52)
-            mp.setattr(baselines, "_limbs", recorded)
-            assert_join_tables_match(pats, ("time",))
-        assert set(paths) == {1 if max(map(len, pats)) > 1 else 2}
+        want = np.array([[exact(i, j) for j in range(2)] for i in range(2)])
+        assert same_bits(build_matrix(pats, "time").values, want)
+        space = np.array([[brute_d_space(a, b) for b in pats] for a in pats])
+        for weights in ORACLE_WEIGHTS:
+            w = measures.DEFAULT_WEIGHTS if weights is None else weights
+            got = build_matrix(pats, "composite", weights=weights).values
+            assert same_bits(got, w.space * space + w.time * want)
 
     def test_lcss_across_word_lengths(self):
         # Two patterns of each length on three cells, so cells repeat: one
@@ -616,16 +627,6 @@ def failing_traces(draw):
     return pats
 
 
-# Non-negative finite terms: any double up to 2**1000, so that a dozen sum
-# without overflow, subnormals, and the integers and fractions of the real
-# tables. Mixed, they put a term's integer k anywhere from 0 past 2**1000.
-exact_terms = st.one_of(
-    st.floats(0.0, 2.0**1000).map(abs),
-    st.sampled_from([0.0, 5e-324, 3 * 5e-324, 2.0**-1022, 1 / 3, 0.5, 1.0]),
-    st.integers(0, 2**70).map(float),
-)
-
-
 def int_rows(high, rows, cols):
     """rows lists of cols ints in 0..high."""
     row = st.lists(st.integers(0, high), min_size=cols, max_size=cols)
@@ -633,34 +634,31 @@ def int_rows(high, rows, cols):
 
 
 @st.composite
-def exact_mean_inputs(draw):
-    """codes (n x L, in 0..U-1), pick (U x U, into terms) and terms."""
+def pair_sum_inputs(draw):
+    """codes (n x L, in 0..U-1) and an int32 table (U x U)."""
     n, length, u = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
-    terms = draw(st.lists(exact_terms, min_size=1, max_size=5))
     codes = draw(int_rows(u - 1, n, length))
-    pick = draw(int_rows(len(terms) - 1, u, u))
-    return np.array(codes), np.array(pick), terms
+    table = draw(int_rows(2**31 - 1, u, u))
+    return np.array(codes), np.array(table, dtype=np.int32)
 
 
 @settings(max_examples=300, deadline=None)
 # _CHUNK 1 and 5 split even these small inputs into blocks of rows and of
 # columns.
-@given(exact_mean_inputs(), st.sampled_from([1, 5, 1 << 16]))
-# One input within the two-limb bound and one past it, where 5e-324 makes
-# the integer of 1.0 2**1074.
-@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [1 / 3, 0.5, 1.0]), 5)
-@example((np.array([[0, 1, 0], [1, 1, 0]]), np.array([[0, 1], [1, 2]]), [5e-324, 0.5, 1.0]), 5)
-def test_exact_means_is_the_fsum_mean(inputs, chunk):
-    codes, pick, terms = inputs
+@given(pair_sum_inputs(), st.sampled_from([1, 5, 1 << 16]))
+# Twelve int32 maxima sum past the int32 range.
+@example((np.zeros((2, 12), dtype=np.intp), np.full((1, 1), 2**31 - 1, dtype=np.int32)), 5)
+def test_pair_sums_is_the_loop_sum(inputs, chunk):
+    codes, table = inputs
     n, length = codes.shape
-    want = np.array([
-        [math.fsum(terms[pick[codes[i, l], codes[j, l]]] for l in range(length)) / length
-         for j in range(n)]
+    want = [
+        [sum(int(table[codes[i, l], codes[j, l]]) for l in range(length)) for j in range(n)]
         for i in range(n)
-    ])
+    ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "_CHUNK", chunk)
-        assert same_bits(baselines._exact_means(codes, pick, terms), want)
+        got = baselines._pair_sums(codes, table)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def bfs_runs(monkeypatch) -> list[int]:
@@ -687,7 +685,7 @@ class TestTiakasTables:
     """build_matrix computes the tiakas measures for every pair at once from
     a hop table and integer sums; each value must be the per-pair function's
     bit for bit, and any failure the loop's, naming the same pair. The loop
-    runs each measure's fsum oracle from tests/support.py, as the public
+    runs each measure's exact oracle from tests/support.py, as the public
     per-pair functions are themselves the tables on one pair."""
 
     def test_random_graphs(self):
@@ -708,16 +706,16 @@ class TestTiakasTables:
         for length in (1, 2, 70):
             assert_tables_match(slot_walks(rng, g, 4, length), g)
 
-    def test_long_path_needs_limbs_beyond_62_bits(self):
-        # Terms h / 1200 need up to 63 fraction bits, so a term's integer
-        # does not fit in an int64 and the limb split must carry it.
+    def test_long_path_sums_hops_exactly(self):
+        # Terms h / 1200 need up to 63 fraction bits as doubles, so a sum of
+        # the rounded terms can miss the exact mean: the table sums the hops.
         dia = 1200
         g = CellGraph(dia + 1, [(i, i + 1) for i in range(dia)])
         bits = max((h / dia).as_integer_ratio()[1] for h in range(1, dia + 1))
         assert bits.bit_length() - 1 > 62
         rng = random.Random(6)
         pats = [random_pattern(rng, dia + 1, 66, 66) for _ in range(4)]
-        # Two ends swapped: every term is 1.0, whose integer is 2**63.
+        # Two ends swapped: every hop is the diameter.
         pats.append(make_pattern([(0, 1)] * 33 + [(dia, 11)] * 33))
         pats.append(make_pattern([(dia, 1)] * 33 + [(0, 11)] * 33))
         assert_tables_match(pats, g, ("tiakas-net", "tiakas-total"), (None,))
@@ -781,23 +779,20 @@ class TestTiakasTables:
                 assert same_bits(got, want)
             # Each pair alone fails as its oracle does, even where the
             # pattern's own row would fail first on another precondition.
-            fn, oracle = resolve_measure(name, graph=graph), fsum_tiakas(name, graph, None)
+            fn, oracle = resolve_measure(name, graph=graph), exact_tiakas(name, graph, None)
             for a, b in itertools.product(pats, repeat=2):
                 assert pair_outcome(fn, a, b) == pair_outcome(oracle, a, b)
 
-    def test_sums_past_the_limb_bound_stay_exact(self, monkeypatch):
-        # With a 52-bit low limb, L * 2**52 >= 2**53 for every length L >= 2,
-        # so those tables sum Python ints instead of two limbs.
-        monkeypatch.setattr(baselines, "_LIMB", 52)
-        exact_means, lengths = baselines._exact_means, []
+    def test_tables_of_every_length_sum_exactly(self, monkeypatch):
+        pair_sums, lengths = baselines._pair_sums, []
 
-        def recorded(codes, pick, terms):
-            values = exact_means(codes, pick, terms)
+        def recorded(codes, table):
+            values = pair_sums(codes, table)
             assert isinstance(values, np.ndarray)
             lengths.append(codes.shape[1])
             return values
 
-        monkeypatch.setattr(baselines, "_exact_means", recorded)
+        monkeypatch.setattr(baselines, "_pair_sums", recorded)
         rng = random.Random("tiakas/inexact")
         g = random_connected_graph(rng, 6, 40)
         for length in (1, 2, 3, 70):
@@ -819,10 +814,10 @@ class TestTiakasTables:
             assert f"'q00' and 'q0{j}'" in want
             assert outcome(build_matrix, pats, name, None, g) == want
 
-    def test_trace_past_the_limb_bound_runs_no_bfs(self, monkeypatch):
-        # Terms h / 99992 need 68 fraction bits, so the term 1.0 is 2**68 and
-        # its high limb 2**38; 2**15 positions put the limb sums past 2**53.
-        # A pair loop ran a BFS over the whole path per source cell per pair.
+    def test_long_trace_on_long_path_runs_no_bfs(self, monkeypatch):
+        # Terms h / 99992 need 68 fraction bits as doubles, and each walk
+        # has 2**15 positions. A pair loop ran a BFS over the whole path per
+        # source cell per pair.
         size = 99993
         g = CellGraph(size, [(i, i + 1) for i in range(size - 1)])
         assert g.diameter() == size - 1
@@ -887,10 +882,20 @@ class TestMatrixValidation:
         [[0.0, 1.0], [1.0]],
         [[0.0, {}], [1.0, 0.0]],
         "ab",
+        np.array([[0, 1 + 2j], [1 + 2j, 0]]),
+        np.array([["0", "1"], ["1", "0"]]),
+        np.array([[0, "1"], ["1", 0]], dtype=object),
     ])
     def test_non_numbers_rejected(self, values):
         with pytest.raises(DomainError, match="matrix values are not numbers"):
             DissimilarityMatrix(values)
+
+    @pytest.mark.parametrize("values", [
+        np.array([[0, 1.5], [True, 0]], dtype=object),
+        np.array([[False, True], [True, False]]),
+    ])
+    def test_real_objects_and_bools_accepted(self, values):
+        assert DissimilarityMatrix(values).values.tolist() == values.astype(float).tolist()
 
     def test_none_is_not_finite(self):
         with pytest.raises(DomainError, match="non-finite"):

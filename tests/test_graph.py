@@ -194,6 +194,15 @@ def test_non_integer_cell_ids_and_k_are_domain_errors(call, message):
         call()
 
 
+@pytest.mark.parametrize("count, edges, message", [
+    (0, [], "graph needs at least one cell"),
+    (3, [(1, 1)], "self-loop on cell 1"),
+])
+def test_constructor_rejects_empty_graph_and_self_loop(count, edges, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        CellGraph(count, edges)
+
+
 def _tree(parents: list[int]) -> CellGraph:
     return CellGraph(len(parents) + 1, [(p % (i + 1), i + 1) for i, p in enumerate(parents)])
 

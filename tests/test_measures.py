@@ -95,6 +95,13 @@ class TestGoldenValues:
         b = make_pattern([(5, 3)])
         assert abs(temporal_dissimilarity(a, b) - 7 / 24) <= 1e-12
 
+    def test_temporal_mean_is_rounded_once(self):
+        # Terms 0, 0, 0, 4/5, 4/5 and 4/5: the exact mean 2/5, where summing
+        # the rounded terms gave 0.4000000000000001.
+        a = make_pattern([(0, 1)] * 3)
+        b = make_pattern([(0, 1), (0, 5)])
+        assert temporal_dissimilarity(a, b) == temporal_dissimilarity(b, a) == 0.4
+
     def test_revisit_self_comparison_is_nonzero(self):
         # All four index pairs count, including the two cross terms.
         p = make_pattern([(5, 1), (5, 9)])

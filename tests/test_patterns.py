@@ -173,6 +173,7 @@ class TestMakePattern:
         assert a == b
         assert hash(a) == hash(b)
         assert a != make_pattern([(1, 1), (2, 3)])
+        assert a.__eq__(1) is NotImplemented and (a == 1) is False
 
 
 def construction_outcome(build, pairs, strict):
@@ -271,6 +272,10 @@ class TestTraceFormat:
     def test_missing_header(self):
         with pytest.raises(FormatError):
             parse_trace("a,0,1,1\n")
+
+    def test_blank_lines_skipped(self):
+        text = "pattern_id,seq,cell,timestamp_index\n\na,0,1,1\n  \na,1,2,3\n\n"
+        assert parse_trace(text) == {"a": make_pattern([(1, 1), (2, 3)])}
 
     def test_wrong_field_count(self):
         with pytest.raises(FormatError):
