@@ -97,14 +97,50 @@ def _coded(rows: Iterable[Iterable[int]]) -> tuple[np.ndarray, list[int]]:
     return codes, list(code)
 
 
-def _tiakas_net_table(patterns: Sequence[MobilityPattern], graph: CellGraph) -> np.ndarray:
-    """tiakas_net on every pair: the hops of one hop table over the cells in
-    use, summed, over the diameter times the length; a one-cell graph, every
-    hop 0, gives 0.0."""
-    _check_row(patterns, graph, 1)
+def _net_values(patterns: Sequence[MobilityPattern], graph: CellGraph) -> np.ndarray:
+    """tiakas_net on every pair, unchecked: the hops of one hop table over
+    the cells in use, summed, over the diameter times the length; a one-cell
+    graph, every hop 0, gives 0.0."""
     dia = graph.diameter()
     codes, cells = _coded(p.cells for p in patterns)
     return _pair_sums(codes, graph.hop_table(cells)) / (max(dia, 1) * codes.shape[1])
+
+
+def _time_values(patterns: Sequence[MobilityPattern]) -> np.ndarray:
+    """tiakas_time on every pair, unchecked, from each pattern's slot
+    increments, each 0..SLOT_COUNT - 1 since slots never decrease: the GAP
+    of every two increments in use, summed, over GAP_SCALE times the step
+    count."""
+    codes, steps = _coded(map(sub, p.slots[1:], p.slots) for p in patterns)
+    table = np.array([[GAP[da][db] for db in steps] for da in steps])
+    return _pair_sums(codes, table) / (GAP_SCALE * codes.shape[1])
+
+
+def _total_values(
+    patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
+) -> np.ndarray:
+    """tiakas_total on every pair, unchecked, from the net and time values."""
+    w = DEFAULT_WEIGHTS if weights is None else weights
+    return w.space * _net_values(patterns, graph) + w.time * _time_values(patterns)
+
+
+# Each table checks its rows once, and each pair function its pair once:
+# tiakas_total's check covers both of its parts.
+def _tiakas_net_table(patterns: Sequence[MobilityPattern], graph: CellGraph) -> np.ndarray:
+    _check_row(patterns, graph, 1)
+    return _net_values(patterns, graph)
+
+
+def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray:
+    _check_row(patterns, None, 2)
+    return _time_values(patterns)
+
+
+def _tiakas_total_table(
+    patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
+) -> np.ndarray:
+    _check_row(patterns, graph, 2)
+    return _total_values(patterns, graph, weights)
 
 
 def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> float:
@@ -116,17 +152,7 @@ def tiakas_net(a: MobilityPattern, b: MobilityPattern, graph: CellGraph) -> floa
     times length, two exact integers divided once.
     """
     _check_pair(a, b, graph, 1)
-    return float(_tiakas_net_table([a, b], graph)[0, 1])
-
-
-def _tiakas_time_table(patterns: Sequence[MobilityPattern]) -> np.ndarray:
-    """tiakas_time on every pair, from each pattern's slot increments, each
-    0..SLOT_COUNT - 1 since slots never decrease: the GAP of every two
-    increments in use, summed, over GAP_SCALE times the step count."""
-    _check_row(patterns, None, 2)
-    codes, steps = _coded(map(sub, p.slots[1:], p.slots) for p in patterns)
-    table = np.array([[GAP[da][db] for db in steps] for da in steps])
-    return _pair_sums(codes, table) / (GAP_SCALE * codes.shape[1])
+    return float(_net_values([a, b], graph)[0, 1])
 
 
 def tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
@@ -137,16 +163,7 @@ def tiakas_time(a: MobilityPattern, b: MobilityPattern) -> float:
     Needs equal lengths of at least two points.
     """
     _check_pair(a, b, None, 2)
-    return float(_tiakas_time_table([a, b])[0, 1])
-
-
-def _tiakas_total_table(
-    patterns: Sequence[MobilityPattern], graph: CellGraph, weights: Weights | None
-) -> np.ndarray:
-    """tiakas_total on every pair, from the net and time tables."""
-    _check_row(patterns, graph, 2)
-    w = DEFAULT_WEIGHTS if weights is None else weights
-    return w.space * _tiakas_net_table(patterns, graph) + w.time * _tiakas_time_table(patterns)
+    return float(_time_values([a, b])[0, 1])
 
 
 def tiakas_total(
@@ -157,27 +174,32 @@ def tiakas_total(
 ) -> float:
     """Weighted combination of the network and time distances."""
     _check_pair(a, b, graph, 2)
-    return float(_tiakas_total_table([a, b], graph, weights)[0, 1])
+    return float(_total_values([a, b], graph, weights)[0, 1])
+
+
+def _displacement(a: MobilityPattern, b: MobilityPattern) -> int:
+    """For each cell occurring in both patterns its occurrence positions are
+    paired off in ascending order: the sum of their absolute differences."""
+    va, vb = a.visits, b.visits
+    return sum(abs(i - j) for c in va.keys() & vb.keys() for i, j in zip(va[c], vb[c]))
 
 
 def oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:
     """The (f, g) parts of the origin-sequence similarity.
 
     g counts points whose cell the other pattern never visits. f measures
-    positional displacement of the shared cells: for each cell occurring in
-    both patterns its occurrence positions are paired off in ascending
-    order, absolute position differences are summed over all cells, and the
-    total is divided by max(n, m).
+    positional displacement of the shared cells: the _displacement of the
+    two patterns divided by max(n, m).
     """
-    va, vb = a.visits, b.visits
-    f = sum(abs(i - j) for c in va.keys() & vb.keys() for i, j in zip(va[c], vb[c]))
-    return f / max(len(a), len(b)), uncommon_cell_count(a, b)
+    return _displacement(a, b) / max(len(a), len(b)), uncommon_cell_count(a, b)
 
 
 def oss(a: MobilityPattern, b: MobilityPattern) -> float:
-    """Origin-sequence dissimilarity (f + g) / (n + m)."""
-    f, g = oss_components(a, b)
-    return (f + g) / (len(a) + len(b))
+    """Origin-sequence dissimilarity (f + g) / (n + m), as one division of
+    two exact integers: (displacement + g * max(n, m)) / (max(n, m) * (n + m))."""
+    longest = max(len(a), len(b))
+    numerator = _displacement(a, b) + uncommon_cell_count(a, b) * longest
+    return numerator / (longest * (len(a) + len(b)))
 
 
 def lcss(a: MobilityPattern, b: MobilityPattern) -> int:

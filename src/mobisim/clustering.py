@@ -192,7 +192,8 @@ def _composite(j: _SameCellJoin, weights: Weights | None) -> np.ndarray:
 
 
 def _oss(j: _SameCellJoin) -> np.ndarray:
-    return (j.displacement / np.maximum(j.la, j.lb) + j.uncommon) / (j.la + j.lb)
+    longest = np.maximum(j.la, j.lb)
+    return (j.displacement + j.uncommon * longest) / (longest * (j.la + j.lb))
 
 
 def _lcss(j: _SameCellJoin) -> list[int]:

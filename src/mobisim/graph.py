@@ -7,6 +7,7 @@ cells directly. Distances are hop counts from breadth-first search.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from importlib import resources
 from itertools import chain
@@ -18,6 +19,10 @@ from .errors import DomainError, FormatError, GraphNotConnectedError, as_int, lo
 
 # Sources per bit-parallel pass of CellGraph.diameter: 16 words a cell.
 _BATCH = 1024
+
+
+def _sorted(adjacency: list[set[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(s)) for s in adjacency)
 
 
 class CellGraph:
@@ -43,14 +48,14 @@ class CellGraph:
                 raise DomainError(f"self-loop on cell {a}")
             adjacency[a].add(b)
             adjacency[b].add(a)
-        self._freeze(adjacency)
+        self._freeze(_sorted(adjacency))
 
-    def _freeze(self, adjacency: list[set[int]]) -> None:
-        # adjacency must be symmetric, with every cell in range and no self-loop.
-        self._n = len(adjacency)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adjacency
-        )
+    def _freeze(self, adj: tuple[tuple[int, ...], ...]) -> None:
+        """Set every attribute from adj, each cell's neighbours as a sorted
+        tuple. adj must be symmetric, with every cell in range and no
+        self-loop: nothing here checks it."""
+        self._n = len(adj)
+        self._adj = adj
         self._diameter: int | None = None
         self._neighbors: tuple[np.ndarray, ...] | None = None
 
@@ -280,7 +285,55 @@ def parse_graph(text: str) -> CellGraph:
     undirected link; the reverse direction is implied. Blank lines and lines
     starting with `#` are ignored. Duplicate links (in either direction) and
     self-loops are rejected.
+
+    A text that _CANONICAL matches, as every text format_graph writes does,
+    is read in bulk (_read_canonical). Every other text, and a canonical one
+    whose edges break a rule, goes to the line reader _parse_lines, the one
+    place that words an error.
     """
+    if _CANONICAL.fullmatch(text) and (g := _read_canonical(text)) is not None:
+        return g
+    return _parse_lines(text)
+
+
+# A header and edge lines, each field one space from the last, every number
+# without a sign or a leading zero, every line ended by a newline.
+_CANONICAL = re.compile(r"cells [1-9][0-9]*\n(?:edge (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)*")
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _read_canonical(text: str) -> CellGraph | None:
+    """The graph of a text that _CANONICAL matches, or None where an edge is
+    a self-loop, leaves 0..N-1 or repeats a link in either direction, for
+    _parse_lines to word the error.
+
+    One C-level conversion reads every endpoint; fromstring clips one past
+    int64 to int64's maximum, which is sent to the line reader too. Both
+    directions of every link are sorted by (cell, neighbour) at once, so a
+    repeated link is two equal neighbours in the order, each cell's
+    neighbours are one run of it, sorted, and np.searchsorted finds the runs.
+    """
+    header, _, body = text.partition("\n")
+    n = int(header.removeprefix("cells "))
+    ends = np.fromstring(body.replace("edge", " "), dtype=np.int64, sep=" ")
+    src, dst = ends[0::2], ends[1::2]
+    if len(ends) and (int(ends.max()) >= min(n, _INT64_MAX) or (src == dst).any()):
+        return None
+    src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if ((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])).any():
+        return None
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    flat = dst.tolist()
+    g = CellGraph.__new__(CellGraph)
+    g._freeze(tuple(tuple(flat[i:j]) for i, j in zip(bounds, bounds[1:])))
+    return g
+
+
+def _parse_lines(text: str) -> CellGraph:
+    """parse_graph's line reader: any text, one line at a time, each error
+    with the number of its line, comments and blank lines counted."""
     n = 0  # the cell count, once the header line is read
     adjacency: list[set[int]] = []
     for lineno, ln in enumerate(text.splitlines(), start=1):
@@ -318,12 +371,13 @@ def parse_graph(text: str) -> CellGraph:
         raise FormatError("empty graph file")
     # Every edge is checked above, so the graph is built without a second pass.
     g = CellGraph.__new__(CellGraph)
-    g._freeze(adjacency)
+    g._freeze(_sorted(adjacency))
     return g
 
 
 def format_graph(g: CellGraph) -> str:
-    """Canonical text form of a graph: sorted `edge a b` lines with a < b."""
+    """Canonical text form of a graph: sorted `edge a b` lines with a < b,
+    each line ended by a newline, the form parse_graph reads in bulk."""
     lines = [f"cells {g.vertex_count}"]
     lines += [f"edge {a} {b}" for a in range(g.vertex_count) for b in g.neighbors(a) if b > a]
     return "\n".join(lines) + "\n"

@@ -101,15 +101,26 @@ def exact_d_time(a: MobilityPattern, b: MobilityPattern) -> float:
     return float(sum(terms) / len(terms)) if terms else 1.0
 
 
-def scan_oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:
-    """oss's (f, g), each shared cell's positions found by rescanning both
-    patterns."""
+def scan_displacement(a: MobilityPattern, b: MobilityPattern) -> int:
+    """oss's displacement sum, each shared cell's positions found by
+    rescanning both patterns."""
     displacement = 0
     for cell in set(a.cells) & set(b.cells):
         pos_a = [i for i, c in enumerate(a.cells) if c == cell]
         pos_b = [i for i, c in enumerate(b.cells) if c == cell]
         displacement += sum(abs(i - j) for i, j in zip(pos_a, pos_b))
-    return displacement / max(len(a), len(b)), brute_uncommon(a, b)
+    return displacement
+
+
+def scan_oss_components(a: MobilityPattern, b: MobilityPattern) -> tuple[float, int]:
+    """oss's (f, g), from scan_displacement."""
+    return scan_displacement(a, b) / max(len(a), len(b)), brute_uncommon(a, b)
+
+
+def exact_oss(a: MobilityPattern, b: MobilityPattern) -> float:
+    """(f + g) / (n + m) as an exact Fraction, rounded once."""
+    f = Fraction(scan_displacement(a, b), max(len(a), len(b)))
+    return float((f + brute_uncommon(a, b)) / (len(a) + len(b)))
 
 
 def dp_lcss(a: MobilityPattern, b: MobilityPattern) -> int:

@@ -30,6 +30,7 @@ from support import (
     brute_uncommon,
     dp_lcss,
     exact_d_time,
+    exact_oss,
     exact_tiakas_net,
     exact_tiakas_time,
     random_connected_graph,
@@ -160,6 +161,14 @@ class TestOss:
 
     def test_identical_patterns_zero(self):
         assert oss(SA, SA) == 0.0
+
+    def test_value_is_rounded_once(self):
+        # (0.4 + 4) / 10 rounded f first and read 0.44000000000000006; one
+        # division of 22 by 50 gives the double nearest 11/25.
+        assert oss(SA, SB) == oss(SB, SA) == 11 / 25
+        eight = make_pattern([(0, 1)] * 8 + [(1, 1)])
+        one = make_pattern([(1, 1)])
+        assert oss(eight, one) == exact_oss(eight, one) == (8 + 8 * 9) / (9 * 10)
 
     def test_repeated_cells_pair_in_order(self):
         a = make_pattern([(5, 1), (3, 2), (5, 4)])
@@ -308,7 +317,7 @@ def test_visit_index_kernels_equal_scan_oracles(pair, space):
         )
         f, g = scan_oss_components(a, b)
         assert oss_components(a, b) == (f, g)
-        assert oss(a, b) == (f + g) / (len(a) + len(b))
+        assert oss(a, b) == exact_oss(a, b)
         assert lcss(a, b) == dp_lcss(a, b)
         assert cvti(a, b) == brute_cvti(a, b)
 

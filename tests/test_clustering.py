@@ -26,6 +26,7 @@ from support import (
     brute_d_space,
     brute_kmedoids,
     dp_lcss,
+    exact_oss,
     exact_tiakas,
     has_repeat_at_distinct_slots,
     random_connected_graph,
@@ -514,6 +515,18 @@ class TestSameCellJoin:
             mp.setattr(baselines, "_CHUNK", chunk)
             assert_join_tables_match(pats)
 
+    @settings(max_examples=40, deadline=None)
+    @given(revisit_traces(8, 8), st.sampled_from([1, 7]))
+    def test_oss_table_is_the_exact_fraction(self, pats, chunk):
+        # One division of two exact integers per pair, in the table as in
+        # oss: each value is the nearest double to the exact Fraction.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_CHUNK", chunk)
+            got = build_matrix(pats, "oss").values
+        want = [[exact_oss(a, b) for b in pats] for a in pats]
+        assert got.tolist() == want
+        assert want == [[baselines.oss(a, b) for b in pats] for a in pats]
+
     def test_time_is_the_exact_mean_on_long_patterns(self):
         # Two 3 000-point patterns on four cells: each pair of them has
         # over 2**21 same-cell point pairs. The oracle counts each slot pair
@@ -782,6 +795,26 @@ class TestTiakasTables:
             fn, oracle = resolve_measure(name, graph=graph), exact_tiakas(name, graph, None)
             for a, b in itertools.product(pats, repeat=2):
                 assert pair_outcome(fn, a, b) == pair_outcome(oracle, a, b)
+
+    def test_each_table_checks_each_row_once(self, monkeypatch):
+        # tiakas-total's table checked its rows, then each of its two parts
+        # checked them again, each check asking for the diameter: 3n
+        # checks, and the pair function added a fourth.
+        checks, check_pair = [], baselines._check_pair
+
+        def counted(*args):
+            checks.append(args)
+            return check_pair(*args)
+
+        monkeypatch.setattr(baselines, "_check_pair", counted)
+        pats = slot_walks(random.Random(12), ORACLE_GRID, 5, 4)
+        for name in TIAKAS:
+            checks.clear()
+            build_matrix(pats, name, graph=ORACLE_GRID)
+            assert len(checks) == len(pats)
+            checks.clear()
+            resolve_measure(name, graph=ORACLE_GRID)(pats[0], pats[1])
+            assert len(checks) == 1
 
     def test_tables_of_every_length_sum_exactly(self, monkeypatch):
         pair_sums, lengths = baselines._pair_sums, []

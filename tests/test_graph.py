@@ -421,6 +421,12 @@ class TestGraphFiles:
         ("cells 3\nedge -1 2\n", "line 2: edge -1 2 outside 0..2"),
         ("cells 3\nedge 0 1\nedge 0 1\n", "line 3: duplicate edge 0 1"),
         ("cells 3\nedge 0 1\n  # edge 1 0\nedge 1 0\n", "line 4: duplicate edge 1 0"),
+        # Canonical texts, read in bulk until an edge breaks a rule.
+        ("cells 3\nedge 0 1\nedge 1 0\nedge 1 2\n", "line 3: duplicate edge 1 0"),
+        ("cells 3\nedge 0 18446744073709551617\n",
+         "line 2: edge 0 18446744073709551617 outside 0..2"),
+        ("cells 2\nedge 0 2\n", "line 2: edge 0 2 outside 0..1"),
+        ("cells 2\nedge 1 1\n", "line 2: self-loop on cell 1"),
         ("", "empty graph file"),
         ("# only a comment\n\n   \n\t# indented\n", "empty graph file"),
     ])
@@ -428,6 +434,47 @@ class TestGraphFiles:
         with pytest.raises(FormatError) as exc:
             parse_graph(text)
         assert str(exc.value) == message
+
+    @settings(deadline=None)
+    @given(_graphs, st.randoms(use_true_random=False))
+    @example(CellGraph(1), random.Random(0))
+    @example(CellGraph(5), random.Random(0))
+    @example(CellGraph(6, [(0, 5), (3, 2)]), random.Random(0))
+    def test_bulk_read_equals_line_reader(self, g, rng):
+        # format_graph's text, and the same links in any order and direction.
+        links = [line.split()[1:] for line in format_graph(g).splitlines()[1:]]
+        rng.shuffle(links)
+        shuffled = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in links]
+        want = vars(CellGraph(g.vertex_count, g.edges))
+        for text in (
+            format_graph(g),
+            "".join([f"cells {g.vertex_count}\n"] + [f"edge {a} {b}\n" for a, b in shuffled]),
+        ):
+            lines = graph_module._parse_lines(text)
+            with pytest.MonkeyPatch.context() as mp:
+                # With no line reader, only the bulk path can read the text.
+                mp.setattr(graph_module, "_parse_lines", None)
+                bulk = parse_graph(text)
+            assert vars(bulk) == vars(lines) == want
+
+    @pytest.mark.parametrize("text", [
+        "cells 3\nedge 01 2\n",
+        "cells 03\nedge 0 1\n",
+        "cells 3\nedge 0  1\n",
+        "cells 3\nedge 0 1 \n",
+        "cells 3\nedge 0 1\nedge 1 2",
+        "cells 3\r\nedge 0 1\r\n",
+    ])
+    def test_other_texts_reach_the_line_reader(self, text, monkeypatch):
+        read, parse_lines = [], graph_module._parse_lines
+
+        def counted(text):
+            read.append(text)
+            return parse_lines(text)
+
+        monkeypatch.setattr(graph_module, "_parse_lines", counted)
+        assert vars(parse_graph(text)) == vars(parse_lines(text))
+        assert read == [text]
 
     def test_byte_order_mark_loads_equal(self, tmp_path):
         plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
