@@ -1,7 +1,9 @@
 """Exception types shared across the package, the integer check and the
-text-file loader that raise them."""
+text-file loader that raise them, and the form check of the canonical files
+that the graph and trace readers read in bulk."""
 
 import operator
+import re
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -43,3 +45,34 @@ def load_text(path: str, parse: Callable[[str], T]) -> T:
     except FormatError as exc:
         reason = str(exc)
     raise FormatError(f"{path}: {reason}") from None
+
+
+# Characters of text that one fullmatch of canonical_windows's `lines` spans.
+_WINDOW = 1 << 16
+
+
+def canonical_windows(
+    text: str, head: re.Pattern[str], lines: re.Pattern[str]
+) -> list[tuple[int, int]] | None:
+    """Where head matches the start of text and lines fullmatches the rest,
+    the windows (start, end) that the rest was matched in, each ended just
+    after a newline; otherwise None.
+
+    lines is a repeat of whole lines, `(?:<line>\n)*` with no newline inside
+    a line. sre's repeat stack takes about 24 bytes per character of one
+    match, so each window is at most _WINDOW characters, matched through
+    fullmatch's pos and endpos, which copy nothing. A line longer than a
+    window fails the check.
+    """
+    m = head.match(text)
+    if m is None:
+        return None
+    windows = []
+    pos, size = m.end(), len(text)
+    while pos < size:
+        end = text.rfind("\n", pos, pos + _WINDOW) + 1
+        if not end or lines.fullmatch(text, pos, end) is None:
+            return None
+        windows.append((pos, end))
+        pos = end
+    return windows

@@ -15,7 +15,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FormatError, GraphNotConnectedError, as_int, load_text
+from .errors import (
+    DomainError,
+    FormatError,
+    GraphNotConnectedError,
+    as_int,
+    canonical_windows,
+    load_text,
+)
 
 # Sources per bit-parallel pass of CellGraph.diameter: 16 words a cell.
 _BATCH = 1024
@@ -286,26 +293,28 @@ def parse_graph(text: str) -> CellGraph:
     starting with `#` are ignored. Duplicate links (in either direction) and
     self-loops are rejected.
 
-    A text that _CANONICAL matches, as every text format_graph writes does,
-    is read in bulk (_read_canonical). Every other text, and a canonical one
-    whose edges break a rule, goes to the line reader _parse_lines, the one
-    place that words an error.
+    A canonical text, _HEADER then _EDGES, as every text format_graph
+    writes is, is read in bulk (_read_canonical). Every other text, and a
+    canonical one whose edges break a rule, goes to the line reader
+    _parse_lines, the one place that words an error.
     """
-    if _CANONICAL.fullmatch(text) and (g := _read_canonical(text)) is not None:
+    windows = canonical_windows(text, _HEADER, _EDGES)
+    if windows is not None and (g := _read_canonical(text)) is not None:
         return g
     return _parse_lines(text)
 
 
 # A header and edge lines, each field one space from the last, every number
 # without a sign or a leading zero, every line ended by a newline.
-_CANONICAL = re.compile(r"cells [1-9][0-9]*\n(?:edge (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)*")
+_HEADER = re.compile(r"cells [1-9][0-9]*\n")
+_EDGES = re.compile(r"(?:edge (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)*")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _read_canonical(text: str) -> CellGraph | None:
-    """The graph of a text that _CANONICAL matches, or None where an edge is
-    a self-loop, leaves 0..N-1 or repeats a link in either direction, for
-    _parse_lines to word the error.
+    """The graph of a canonical text, or None where an edge is a self-loop,
+    leaves 0..N-1 or repeats a link in either direction, for _parse_lines
+    to word the error.
 
     One C-level conversion reads every endpoint; fromstring clips one past
     int64 to int64's maximum, which is sent to the line reader too. Both

@@ -13,9 +13,12 @@ timestamp.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
-from .errors import DomainError, FormatError, as_int, load_text
+import numpy as np
+
+from .errors import DomainError, FormatError, as_int, canonical_windows, load_text
 
 SLOT_MINUTES = 135
 SLOT_COUNT = 11
@@ -138,7 +141,82 @@ def parse_trace(text: str) -> dict[str, MobilityPattern]:
     Format is comma-separated with header `pattern_id,seq,cell,timestamp_index`,
     rows sorted by (pattern_id, seq). Rows of one pattern must be contiguous
     with strictly increasing seq; pattern ids must be in ascending order.
+
+    A canonical text, _HEADER then _ROWS, as every text format_trace writes
+    is, is read in bulk (_read_canonical). Every other text, and a canonical
+    one whose rows break a rule, goes to the line reader _parse_lines, the
+    one place that words an error.
     """
+    windows = canonical_windows(text, _HEADER, _ROWS)
+    if windows is not None and (patterns := _read_canonical(text, windows)) is not None:
+        return patterns
+    return _parse_lines(text)
+
+
+# The header, then rows of an id with no comma or whitespace and three
+# numbers, each without a sign, padding or a leading zero, every line ended
+# by a newline. At most 18 digits keep seq and cell exact in an int64.
+_HEADER = re.compile(re.escape(TRACE_HEADER) + "\n")
+_ROWS = re.compile(
+    r"(?:[^,\s]+,(?:0|[1-9][0-9]{0,17}),(?:0|[1-9][0-9]{0,17}),(?:[1-9]|1[01])\n)*"
+)
+
+
+def _unchecked(cells: tuple[int, ...], slots: tuple[int, ...]) -> MobilityPattern:
+    """A pattern whose points are already checked as __init__ checks them."""
+    pattern = MobilityPattern.__new__(MobilityPattern)
+    pattern.cells, pattern.slots, pattern._visits = cells, slots, None
+    return pattern
+
+
+def _read_canonical(
+    text: str, windows: list[tuple[int, int]]
+) -> dict[str, MobilityPattern] | None:
+    """The patterns of a canonical text, given the windows of its rows, or
+    None where ids are out of order or split, a seq does not increase or a
+    slot decreases within a pattern, for _parse_lines to word the error.
+
+    Each window is split once into fields, and one C-level conversion reads
+    its seqs, cells and slots; only the ids that start a pattern outlive
+    their window. If those ids ascend strictly, no id is split. The
+    canonical form bounds every slot to 1..11 and every cell to
+    non-negative, so with the ordering checked here on whole columns, each
+    pattern is built without __init__'s checks.
+    """
+    rows, firsts, heads = [], [], []
+    last = None  # the id of the previous window's last row
+    for pos, end in windows:
+        fields = text[pos:end].replace("\n", ",").split(",")
+        del fields[-1]  # the empty field after the window's last newline
+        ids = np.array(fields[0::4], dtype=object)
+        del fields[0::4]
+        rows.append(np.fromstring(",".join(fields), dtype=np.int64, sep=",").reshape(-1, 3))
+        first = np.concatenate(([ids[0] != last], ids[1:] != ids[:-1]))  # starts a pattern
+        firsts.append(first)
+        heads.append(ids[first])
+        last = ids[-1]
+    if not rows:
+        return {}
+    seqs, cells, slots = np.concatenate(rows).T
+    first, heads = np.concatenate(firsts), np.concatenate(heads)
+    if not (
+        (heads[1:] > heads[:-1]).all()
+        and ((np.diff(seqs) > 0) | first[1:]).all()
+        and ((np.diff(slots) >= 0) | first[1:]).all()
+    ):
+        return None
+    bounds = [*np.flatnonzero(first).tolist(), len(first)]
+    cells, slots = tuple(cells.tolist()), tuple(slots.tolist())
+    return {
+        pid: _unchecked(cells[i:j], slots[i:j])
+        for pid, i, j in zip(heads.tolist(), bounds, bounds[1:])
+    }
+
+
+def _parse_lines(text: str) -> dict[str, MobilityPattern]:
+    """parse_trace's line reader: any text, one line at a time, each error
+    with the number of its line, blank lines counted; an invalid pattern is
+    named by its id."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise FormatError(f"expected header {TRACE_HEADER!r}")

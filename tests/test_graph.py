@@ -476,6 +476,23 @@ class TestGraphFiles:
         assert vars(parse_graph(text)) == vars(parse_lines(text))
         assert read == [text]
 
+    def test_bulk_read_of_a_large_grid_in_bounded_memory(self, monkeypatch):
+        # 0.42 MB of text. One fullmatch of all of it kept sre's repeat stack,
+        # a 9.98 MB traced peak; matched in windows of 64 KiB the peak was
+        # 5.63 MB on a shared 2-core x86-64 machine.
+        want = hex_grid(100, 100)
+        text = format_graph(want)
+        # With no line reader, only the bulk path can read the text.
+        monkeypatch.setattr(graph_module, "_parse_lines", None)
+        tracemalloc.start()
+        try:
+            got = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vars(got) == vars(want)
+        assert peak < 7 * 2**20
+
     def test_byte_order_mark_loads_equal(self, tmp_path):
         plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
         save_graph(example_graph(), str(plain))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mobisim
+from mobisim import errors as errors_module, patterns as patterns_module
 from mobisim.errors import DomainError, FormatError
 from mobisim.patterns import (
+    TRACE_HEADER,
     MobilityPattern,
     format_trace,
     is_subpattern,
@@ -260,6 +262,9 @@ class TestSubpattern:
         assert is_subpattern(b, a) and is_subpattern(c, b) and is_subpattern(c, a)
 
 
+HEAD = TRACE_HEADER + "\n"
+
+
 class TestTraceFormat:
     def test_round_trip(self):
         original = {
@@ -269,44 +274,36 @@ class TestTraceFormat:
         parsed = parse_trace(format_trace(original))
         assert parsed == original
 
-    def test_missing_header(self):
-        with pytest.raises(FormatError):
-            parse_trace("a,0,1,1\n")
-
     def test_blank_lines_skipped(self):
         text = "pattern_id,seq,cell,timestamp_index\n\na,0,1,1\n  \na,1,2,3\n\n"
         assert parse_trace(text) == {"a": make_pattern([(1, 1), (2, 3)])}
 
-    def test_wrong_field_count(self):
-        with pytest.raises(FormatError):
-            parse_trace("pattern_id,seq,cell,timestamp_index\na,0,1\n")
-
-    def test_non_integer_field(self):
-        with pytest.raises(FormatError):
-            parse_trace("pattern_id,seq,cell,timestamp_index\na,0,one,1\n")
-
-    def test_ids_out_of_order(self):
-        text = "pattern_id,seq,cell,timestamp_index\nb,0,1,1\na,0,1,1\n"
-        with pytest.raises(FormatError):
+    @pytest.mark.parametrize("text, message", [
+        ("a,0,1,1\n", "expected header 'pattern_id,seq,cell,timestamp_index'"),
+        ("", "expected header 'pattern_id,seq,cell,timestamp_index'"),
+        (HEAD + "a,0,1\n", "line 2: expected 4 fields, got 3"),
+        (HEAD + "a,0,one,1\n", "line 2: non-integer field"),
+        (HEAD + " ,0,1,1\n", "line 2: empty pattern id"),
+        (HEAD + "a,0,1,1\n\n  \nb,0,1,1\na,1,2,2\n",
+         "line 6: rows for pattern 'a' are not contiguous"),
+        (HEAD + "a,0,-1,1\n", "pattern 'a': cell id must be non-negative, got -1"),
+        (HEAD + "a,0,1,0\n", "pattern 'a': timestamp index 0 outside 1..11"),
+        # Canonical texts, read in bulk until a row breaks a rule.
+        (HEAD + "b,0,1,1\na,0,1,1\n", "line 3: pattern ids out of order ('a' after 'b')"),
+        (HEAD + "a,0,1,1\nb,0,1,1\na,1,2,2\n",
+         "line 4: rows for pattern 'a' are not contiguous"),
+        (HEAD + "a,1,1,1\na,1,2,2\n", "line 3: seq not increasing within pattern 'a'"),
+        (HEAD + "a,2,1,1\na,1,2,2\n", "line 3: seq not increasing within pattern 'a'"),
+        (HEAD + "a,0,1,5\na,1,2,3\n",
+         "pattern 'a': timestamps must be non-decreasing ((1,t5) then (2,t3))"),
+        (HEAD + "a,0,1,1\nb,0,1,3\nb,1,2,2\n",
+         "pattern 'b': timestamps must be non-decreasing ((1,t3) then (2,t2))"),
+        (HEAD + "a,0,1,12\n", "pattern 'a': timestamp index 12 outside 1..11"),
+    ])
+    def test_errors_name_line_or_pattern(self, text, message):
+        with pytest.raises(FormatError) as exc:
             parse_trace(text)
-
-    def test_split_group_rejected(self):
-        text = (
-            "pattern_id,seq,cell,timestamp_index\n"
-            "a,0,1,1\nb,0,1,1\na,1,2,2\n"
-        )
-        with pytest.raises(FormatError):
-            parse_trace(text)
-
-    def test_seq_must_increase(self):
-        text = "pattern_id,seq,cell,timestamp_index\na,1,1,1\na,1,2,2\n"
-        with pytest.raises(FormatError):
-            parse_trace(text)
-
-    def test_invalid_pattern_content(self):
-        text = "pattern_id,seq,cell,timestamp_index\na,0,1,5\na,1,2,3\n"
-        with pytest.raises(FormatError):
-            parse_trace(text)
+        assert str(exc.value) == message
 
     def test_load_names_file_once(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -323,3 +320,100 @@ class TestTraceFormat:
         bom.write_text(text, encoding="utf-8-sig")
         assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
         assert load_trace(str(bom)) == load_trace(str(plain)) == parse_trace(text)
+
+
+def trace_outcome(parse, text):
+    """The patterns read, in order, or the type and text of the error raised."""
+    try:
+        return list(parse(text).items())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Ids that sort apart only by a trailing NUL or a non-ASCII letter, and cells
+# up to the 18 digits the bulk reader reads, and past them.
+trace_ids = st.sets(st.sampled_from(["a", "a\x00", "b", "p1", "p10", "p2", "\xe9"]), max_size=4)
+short_cells = st.one_of(st.integers(0, 9), st.just(10**18 - 1))
+trace_cells = st.one_of(short_cells, st.sampled_from([10**18, 2**64]))
+
+
+@st.composite
+def traces(draw, cell_ids=trace_cells):
+    """Patterns in id order, each of 1-4 points with non-decreasing slots."""
+    trace = {}
+    for pid in sorted(draw(trace_ids)):
+        length = draw(st.integers(1, 4))
+        slots = sorted(draw(st.lists(st.integers(1, 11), min_size=length, max_size=length)))
+        cells = draw(st.lists(cell_ids, min_size=length, max_size=length))
+        trace[pid] = MobilityPattern(zip(cells, slots))
+    return trace
+
+
+@st.composite
+def edited_trace_texts(draw):
+    """format_trace's text of a trace, as is or after up to three edits, each
+    a token inserted or put in place of one character, or one character
+    deleted; the tokens reach every rule of both readers."""
+    text = format_trace(draw(traces()))
+    tokens = st.sampled_from(
+        [",", "\n", "\r\n", " ", "\t", "\x1c", "\x85", "0", "1", "9", "12", "-", "+", "_",
+         "\u0661", "a", "b"]
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.sampled_from([0, 1]))
+        text = text[:i] + draw(st.one_of(st.just(""), tokens)) + text[i + cut :]
+    return text
+
+
+class TestBulkTraceReader:
+    """parse_trace reads a canonical text in bulk; the line reader
+    _parse_lines is its reference."""
+
+    @settings(deadline=None)
+    @given(edited_trace_texts())
+    @example(HEAD + "a,0,999999999999999999,1\na,1,1234567890123456789,2\n")
+    @example(HEAD + "a,0,12399999999999999999999,3\n")
+    @example(HEAD + "a,01,1,1\n")
+    @example(HEAD + "a,0,+1,1\n")
+    @example(HEAD + "a,0,1_0,1\n")
+    @example(HEAD + "a,0,\u0661,1\n")
+    @example(HEAD + "a,0,1,0\n")
+    @example(HEAD + "a,0,1,11\n")
+    @example(HEAD + "a,0,1,12\n")
+    @example(HEAD + "a b,0,1,1\n")
+    @example(HEAD + "a\tb,0,1,1\n")
+    @example(HEAD + "a\x1cb,0,1,1\n")
+    @example(HEAD + "a\x85b,0,1,1\n")
+    @example(HEAD + "a,0,1,1\r\na,1,2,2\r\n")
+    @example(HEAD + "a,0,1,1\na,1,2,2")
+    @example(HEAD)
+    @example("")
+    @example(HEAD + "a,0,1,1\n\na,1,2,2\n\n")
+    def test_bulk_read_equals_line_reader(self, text):
+        want = trace_outcome(patterns_module._parse_lines, text)
+        # Windows of 40 characters split most texts across windows, and
+        # shut a longer line out of the bulk path.
+        for window in (errors_module._WINDOW, 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(errors_module, "_WINDOW", window)
+                assert trace_outcome(parse_trace, text) == want
+
+    @settings(deadline=None)
+    @given(traces(cell_ids=short_cells))
+    def test_canonical_text_needs_no_line_reader(self, trace):
+        text = format_trace(trace)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns_module, "_parse_lines", None)
+            for window in (errors_module._WINDOW, 40):
+                mp.setattr(errors_module, "_WINDOW", window)
+                got = parse_trace(text)
+                assert list(got.items()) == list(trace.items())
+                assert all(
+                    type(v) is int for p in got.values() for v in p.cells + p.slots
+                )
+                assert all(p._visits is None for p in got.values())
+
+    def test_long_cells_stay_exact(self):
+        text = HEAD + "a,0,999999999999999999,1\na,1,1234567890123456789,2\n"
+        assert parse_trace(text)["a"].cells == (999999999999999999, 1234567890123456789)
